@@ -1068,8 +1068,9 @@ let sections =
    parallelizes the independent simulations inside each section (0 = all
    cores) without changing any printed table; `--json` emits a
    machine-readable timing snapshot on stdout (section prints go to stderr
-   instead), whose `baseline` field names the committed BENCH file the CI
-   regression gate compares against (`--baseline FILE` overrides it). *)
+   instead).  `--baseline FILE` stamps the snapshot with a `baseline` field
+   naming the committed BENCH file a regression gate compares against; a
+   snapshot taken without it names no baseline. *)
 let () =
   let split_sections value =
     List.filter (fun s -> s <> "") (String.split_on_char ',' value)
@@ -1088,7 +1089,7 @@ let () =
     | [ ("--sections" | "--only") ] ->
         prerr_endline "bench: --sections expects a comma-separated list";
         exit 2
-    | "--baseline" :: value :: rest -> parse rest names jobs_n json value
+    | "--baseline" :: value :: rest -> parse rest names jobs_n json (Some value)
     | [ "--baseline" ] ->
         prerr_endline "bench: --baseline expects a file name";
         exit 2
@@ -1101,27 +1102,10 @@ let () =
     | [ "--jobs" ] ->
         prerr_endline "bench: --jobs expects a value";
         exit 2
-    | "--event-ff" :: value :: rest -> (
-        match Ccsim.Eventff.mode_of_string value with
-        | Some m ->
-            Ccsim.Eventff.set_mode m;
-            parse rest names jobs_n json baseline
-        | None ->
-            prerr_endline "bench: --event-ff expects on, off or diff";
-            exit 2)
-    | [ "--event-ff" ] ->
-        prerr_endline "bench: --event-ff expects a mode";
-        exit 2
-    | "--cache-dir" :: value :: rest ->
-        Soc.Runcache.set_dir (Some value);
-        parse rest names jobs_n json baseline
-    | [ "--cache-dir" ] ->
-        prerr_endline "bench: --cache-dir expects a directory";
-        exit 2
     | name :: rest -> parse rest (name :: names) jobs_n json baseline
   in
   let names, jobs_n, json, baseline =
-    parse (List.tl (Array.to_list Sys.argv)) [] 1 false "BENCH_5.json"
+    parse (List.tl (Array.to_list Sys.argv)) [] 1 false None
   in
   jobs_ref := jobs_n;
   let requested = match names with [] -> List.map fst sections | ns -> ns in
@@ -1173,10 +1157,13 @@ let () =
                 ("speedup", Float speedup);
               ]
       in
+      let baseline_field =
+        match baseline with Some b -> [ ("baseline", String b) ] | None -> []
+      in
       print_endline
         (to_string
            (Obj
-              [
+              ([
                 ("schema", String "bench-snapshot/1");
                 ("jobs", Int jobs_n);
                 ( "sections",
@@ -1191,5 +1178,5 @@ let () =
                        timings) );
                 ("total_seconds", Float total);
                 ("parallel", parallel);
-                ("baseline", String baseline);
-              ]))
+              ]
+             @ baseline_field)))

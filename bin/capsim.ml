@@ -105,7 +105,7 @@ let checkers_arg =
                  table; identical verdicts, different latency).")
 
 (* Replay acceleration mode (lib/soc/fastpath.ml).  Every mode produces
-   byte-identical output — the CI replay-compilation gate diffs on/off — so
+   byte-identical output — the CI fast-path gate diffs on/off — so
    the flag only trades simulation time for re-verification. *)
 let fastpath_conv =
   let parse s =
@@ -122,53 +122,36 @@ let fastpath_conv =
 let fastpath_arg =
   Arg.(value & opt fastpath_conv Soc.Fastpath.Fast
          & info [ "fast-path" ]
-             ~doc:"Replay acceleration: $(b,on) (the default) compiles \
-                   recorded DMA traces into burst segments, derives cached \
-                   access scripts instead of re-interpreting kernels, and \
-                   skips per-access guard calls on statically proven tasks — \
-                   byte-identical results, order-of-magnitude faster sweeps; \
+             ~doc:"Replay acceleration: $(b,on) (the default) derives \
+                   cached access scripts instead of re-interpreting kernels, \
+                   memoizes whole runs within a process, and skips \
+                   per-access guard calls on statically proven tasks — \
+                   byte-identical results, much faster sweeps; \
                    $(b,off) re-interprets everything (the ground truth); \
                    $(b,diff) computes both legs and fails on any divergence.")
 
-(* Event-engine steady-state fast-forward (lib/sim/eventff.ml): flat bus
-   drivers plus periodic-schedule leaping in the contended event core.
-   Exact by construction — the CI event-ff gate diffs on/off — so, like
-   --fast-path, the flag only trades simulation time for re-verification. *)
-let eventff_conv =
-  let parse s =
-    match Ccsim.Eventff.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown event-ff mode %s (on, off or diff)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt m -> Format.pp_print_string fmt (Ccsim.Eventff.mode_to_string m) )
+(* Input validation at the command-line boundary: a bad value is a usage
+   error — one line on stderr and exit 2 — never an exception from inside
+   the simulator. *)
+let reject fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("capsim: " ^ msg);
+      exit 2)
+    fmt
 
-let eventff_arg =
-  Arg.(value & opt eventff_conv Ccsim.Eventff.On
-         & info [ "event-ff" ]
-             ~doc:"Event-engine steady-state fast-forward: $(b,on) (the \
-                   default) drives contended buses with flat callback \
-                   clients and leaps periodic arbitration schedules whole \
-                   periods at a time — byte-identical results; $(b,off) \
-                   single-steps every event (the ground truth); $(b,diff) \
-                   runs both legs and fails on any divergence.")
+let require_at_least flag ~min v =
+  if v < min then reject "%s must be at least %d" flag min
 
-let cache_dir_arg =
-  Arg.(value & opt (some string) None
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"Persist eligible run results (no observability sink, no \
-                   fault plan) to $(docv), keyed by the full run \
-                   configuration and a digest of this binary, and reuse \
-                   them across processes.  Off unless given; a rebuild \
-                   orphans old entries.")
+let require_between flag ~min ~max v =
+  if v < min || v > max then reject "%s must be between %d and %d" flag min max
 
-let apply_common ~eventff ~cache_dir =
-  Ccsim.Eventff.set_mode eventff;
-  Soc.Runcache.set_dir cache_dir
+(* Whether the system can hold [tasks] concurrent tasks is only known to the
+   driver that places them, before any of them runs. *)
+let run_or_reject ~tasks f =
+  try f ()
+  with Soc.Run.Allocation_failed reason ->
+    reject "--tasks %d does not fit this system: %s" tasks reason
 
 (* Parallelism across independent simulations (Ccsim.Pool).  Results are
    index-deterministic: any --jobs value produces byte-identical output to
@@ -261,12 +244,14 @@ let run_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
   in
-  let run bench config tasks engine topology checkers fastpath eventff
-      cache_dir json =
+  let run bench config tasks engine topology checkers fastpath json =
+    require_at_least "--tasks" ~min:1 tasks;
     Soc.Fastpath.set_mode fastpath;
-    apply_common ~eventff ~cache_dir;
     let engine = resolve_engine ~topology engine in
-    let r = Soc.Run.run ~tasks ~engine ~topology ~checkers config bench in
+    let r =
+      run_or_reject ~tasks (fun () ->
+          Soc.Run.run ~tasks ~engine ~topology ~checkers config bench)
+    in
     if json then print_endline (Obs.Json.to_string (json_of_result r))
     else begin
       Printf.printf "%s on %s, %d task(s)\n" r.Soc.Run.benchmark r.Soc.Run.config_label
@@ -286,8 +271,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark end to end")
     Term.(const run $ bench_arg $ config_arg $ tasks_arg $ engine_arg
-          $ topology_arg $ checkers_arg $ fastpath_arg $ eventff_arg
-          $ cache_dir_arg $ json_arg)
+          $ topology_arg $ checkers_arg $ fastpath_arg $ json_arg)
 
 (* ---- trace ---- *)
 
@@ -305,9 +289,13 @@ let trace_cmd =
                      dropped (and counted).")
   in
   let run bench config tasks engine out capacity =
+    require_at_least "--tasks" ~min:1 tasks;
     let engine = resolve_engine ~topology:Bus.Topology.Shared engine in
     let obs = Obs.Trace.create ~capacity () in
-    let r = Soc.Run.run ~tasks ~obs ~engine config bench in
+    let r =
+      run_or_reject ~tasks (fun () ->
+          Soc.Run.run ~tasks ~obs ~engine config bench)
+    in
     Obs.Export.write_chrome ~path:out obs;
     Printf.printf "%s on %s, %d task(s): wall %d cycles, correct %b\n"
       r.Soc.Run.benchmark r.Soc.Run.config_label r.Soc.Run.tasks r.Soc.Run.wall
@@ -331,9 +319,8 @@ let sweep_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the sweep as JSON.")
   in
-  let run bench engine topology checkers fastpath eventff cache_dir jobs json =
+  let run bench engine topology checkers fastpath jobs json =
     Soc.Fastpath.set_mode fastpath;
-    apply_common ~eventff ~cache_dir;
     let engine = resolve_engine ~topology engine in
     (* All 15 points (5 task counts x 3 configs) are independent full-system
        runs; they execute as one Ccsim.Pool batch and are re-assembled in
@@ -406,7 +393,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Parallelism sweep (Figure 11 style)")
     Term.(const run $ bench_arg $ engine_arg $ topology_arg $ checkers_arg
-          $ fastpath_arg $ eventff_arg $ cache_dir_arg $ jobs_arg $ json_arg)
+          $ fastpath_arg $ jobs_arg $ json_arg)
 
 (* ---- attack ---- *)
 
@@ -489,15 +476,11 @@ let faults_cmd =
     else
       print_endline "  invariant VIOLATED: incorrect result without a covering fallback"
   in
-  let run bench config tasks seed runs engine fastpath eventff jobs json =
+  let run bench config tasks seed runs engine fastpath jobs json =
+    require_at_least "--tasks" ~min:1 tasks;
+    require_at_least "--runs" ~min:1 runs;
     Soc.Fastpath.set_mode fastpath;
-    (* Faulted runs never take the fast-forward leg or the disk cache, but
-       diff mode still sanity-degrades explicitly through the same switch. *)
-    apply_common ~eventff ~cache_dir:None;
     let engine = resolve_engine ~topology:Bus.Topology.Shared engine in
-    if runs < 1 then (
-      prerr_endline "capsim: --runs must be at least 1";
-      exit 2);
     let seeds = List.init runs (fun i -> seed + i) in
     let plans = List.map (fun s -> Fault.Plan.default ~seed:s) seeds in
     let specs =
@@ -535,7 +518,7 @@ let faults_cmd =
        ~doc:"Run one benchmark under a seeded deterministic fault plan")
     Term.(
       const run $ bench_arg $ config_arg $ tasks_arg $ seed_arg $ runs_arg
-      $ engine_arg $ fastpath_arg $ eventff_arg $ jobs_arg $ json_arg)
+      $ engine_arg $ fastpath_arg $ jobs_arg $ json_arg)
 
 (* ---- lint ---- *)
 
@@ -727,6 +710,9 @@ let verify_cmd =
   in
   let run depth accels objs obj_len space_bits topology checkers mutation
       random seed replay json =
+    require_between "--accels" ~min:1 ~max:8 accels;
+    require_between "--objs" ~min:1 ~max:16 objs;
+    require_between "--obj-len" ~min:2 ~max:4096 obj_len;
     let opts =
       { Verify.Engine.v_depth = depth; v_accels = accels; v_objs = objs;
         v_obj_len = obj_len; v_space_bits = space_bits;
@@ -926,10 +912,21 @@ let serve_cmd =
                      repeat seeds and $(b,--jobs) values).")
   in
   let run config tenants requests seed instances entries topology checkers
-      fastpath eventff inflight watermark spill gap util churn top bench jobs
-      json =
+      fastpath inflight watermark spill gap util churn top bench jobs json =
+    require_at_least "--tenants" ~min:1 tenants;
+    require_at_least "--requests" ~min:0 requests;
+    require_at_least "--instances" ~min:1 instances;
+    require_at_least "--cc-entries" ~min:1 entries;
+    require_at_least "--max-inflight" ~min:1 inflight;
+    require_between "--util" ~min:1 ~max:100 util;
+    require_between "--churn" ~min:0 ~max:100 churn;
+    (match config with
+    | Soc.Config.Hetero
+        { protection = Soc.Config.Prot_cc_fine | Soc.Config.Prot_cc_coarse; _ }
+      ->
+        ()
+    | _ -> reject "serve needs a CapChecker configuration (ccpu+caccel or coarse)");
     Soc.Fastpath.set_mode fastpath;
-    apply_common ~eventff ~cache_dir:None;
     let spill = if spill < 0 then 2 * instances else spill in
     let mix =
       match bench with
@@ -977,7 +974,7 @@ let serve_cmd =
              reporting")
     Term.(const run $ config_arg $ tenants_arg $ requests_arg $ seed_arg
           $ instances_arg $ entries_arg $ topology_arg $ checkers_arg
-          $ fastpath_arg $ eventff_arg $ inflight_arg $ watermark_arg
+          $ fastpath_arg $ inflight_arg $ watermark_arg
           $ spill_arg $ gap_arg
           $ util_arg $ churn_arg $ top_arg $ bench_opt $ jobs_arg $ json_arg)
 

@@ -39,21 +39,6 @@ val run : ?error_retry_limit:int -> Bus.Fabric.t -> start:int -> stream list -> 
     events.  Without fault injection no grant errors and behaviour is
     identical to the error-free scheduler. *)
 
-type cstream = { cinstance : int; ctrace : Trace.Compiled.t }
-
-val run_compiled :
-  ?error_retry_limit:int -> Bus.Fabric.t -> start:int -> cstream list -> result
-(** {!run} over precompiled traces: cycle-identical by construction (the
-    test suite pins it) — per-event scheduling mirrors {!run} exactly, over
-    packed arrays instead of event records, and issues the same fabric
-    requests in the same order, so even injected-fault RNG draws line up.
-    On a {!Bus.Fabric.quiescent} fabric, once a single unfinished stream
-    remains and its state is clean at a compile-clean index, the remaining
-    suffix is fast-forwarded in one jump (counted in
-    {!Obs.Counters.segments_replayed}); a solo stream on a fresh fabric
-    replays in O(1).  Every compiled trace must have been compiled against
-    this fabric's bus parameters (asserted). *)
-
 val run_event :
   ?error_retry_limit:int ->
   sched:Ccsim.Sched.t ->

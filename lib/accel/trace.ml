@@ -75,122 +75,3 @@ let total_beats t =
     total := !total + t.events.(idx).beats
   done;
   !total
-
-module Compiled = struct
-  (* Kind codes: flat ints so the replay hot loop switches on an array load
-     instead of destructuring an event record. *)
-  let k_write = 0
-  let k_stream_read = 1
-  let k_dep_read = 2
-
-  type t = {
-    c_gap : int array;
-    c_kind : int array;
-    c_beats : int array;
-    c_latency : int array;
-    c_n : int;
-    c_bus : Bus.Params.t;
-    c_limit : int;  (* outstanding-read limit the clean analysis assumed *)
-    c_suffix_beats : int array;
-        (* total data beats of events [i..n-1]; length n+1, last entry 0 *)
-    c_clean_finish : int array;
-        (* For a solo stream on an otherwise idle bus, the schedule of events
-           [i..n-1] is invariant under time translation whenever the state
-           entering event [i] is "clean": the fabric is free no later than
-           the event's candidate cycle and every still-outstanding streaming
-           read has already returned by then.  At such an index the whole
-           suffix collapses to three precomputed deltas, all relative to the
-           candidate cycle [cand]: the stream finishes at
-           [cand + c_clean_finish.(i)], the fabric is busy until
-           [cand + c_clean_free.(i)], and [c_suffix_beats.(i)] beats move.
-           [-1] marks indices where the compile-time solo run was not clean
-           and no jump is licensed. *)
-    c_clean_free : int array;
-  }
-
-  let length c = c.c_n
-  let total_beats c = if c.c_n = 0 then 0 else c.c_suffix_beats.(0)
-  let bus c = c.c_bus
-  let limit c = c.c_limit
-
-  let kind_code (ev : event) =
-    match (ev.kind, ev.dependent) with
-    | Guard.Iface.Write, _ -> k_write
-    | Guard.Iface.Read, false -> k_stream_read
-    | Guard.Iface.Read, true -> k_dep_read
-
-  let compile ~bus ~max_outstanding trace =
-    let n = trace.len in
-    let limit = max 1 max_outstanding in
-    let c_gap = Array.make (max n 1) 0
-    and c_kind = Array.make (max n 1) 0
-    and c_beats = Array.make (max n 1) 0
-    and c_latency = Array.make (max n 1) 0
-    and c_suffix_beats = Array.make (n + 1) 0
-    and c_clean_finish = Array.make (max n 1) (-1)
-    and c_clean_free = Array.make (max n 1) 0 in
-    for i = 0 to n - 1 do
-      let ev = trace.events.(i) in
-      c_gap.(i) <- ev.gap;
-      c_kind.(i) <- kind_code ev;
-      c_beats.(i) <- ev.beats;
-      c_latency.(i) <- ev.latency
-    done;
-    for i = n - 1 downto 0 do
-      c_suffix_beats.(i) <- c_beats.(i) + c_suffix_beats.(i + 1)
-    done;
-    (* Reference solo run under the pure (fault-free, untraced) grant
-       formulas, from a zero origin.  [contrib.(i)] is the finish constraint
-       event [i] imposes; [cand_at.(i)] its candidate cycle; clean indices
-       are detected exactly as the replayer will re-detect them at runtime. *)
-    let contrib = Array.make (max n 1) 0 and cand_at = Array.make (max n 1) 0 in
-    let addr_phase = bus.Bus.Params.addr_phase in
-    let outstanding = Queue.create () in
-    let ready = ref 0 and free_at = ref 0 and max_pushed = ref 0 in
-    for i = 0 to n - 1 do
-      let cand0 = !ready + c_gap.(i) in
-      let clean = !free_at <= cand0 && !max_pushed <= cand0 in
-      let cand =
-        if c_kind.(i) = k_stream_read && Queue.length outstanding >= limit then
-          max cand0 (Queue.peek outstanding)
-        else cand0
-      in
-      if c_kind.(i) = k_stream_read && Queue.length outstanding >= limit then
-        ignore (Queue.pop outstanding);
-      let granted_at = max cand !free_at in
-      let data_done = granted_at + addr_phase + c_beats.(i) in
-      free_at := data_done;
-      let mem_latency =
-        if c_kind.(i) = k_write then bus.Bus.Params.write_latency
-        else bus.Bus.Params.read_latency
-      in
-      let completed = data_done + mem_latency + c_latency.(i) in
-      cand_at.(i) <- cand;
-      if clean then c_clean_finish.(i) <- 0 (* patched in the backward pass *);
-      if c_kind.(i) = k_write then begin
-        ready := granted_at + 1;
-        contrib.(i) <- data_done
-      end
-      else if c_kind.(i) = k_dep_read then begin
-        ready := completed;
-        contrib.(i) <- completed
-      end
-      else begin
-        Queue.push completed outstanding;
-        if completed > !max_pushed then max_pushed := completed;
-        ready := granted_at + 1;
-        contrib.(i) <- completed
-      end
-    done;
-    let free_end = !free_at in
-    let suffix_max = ref min_int in
-    for i = n - 1 downto 0 do
-      if contrib.(i) > !suffix_max then suffix_max := contrib.(i);
-      if c_clean_finish.(i) >= 0 then begin
-        c_clean_finish.(i) <- !suffix_max - cand_at.(i);
-        c_clean_free.(i) <- free_end - cand_at.(i)
-      end
-    done;
-    { c_gap; c_kind; c_beats; c_latency; c_n = n; c_bus = bus;
-      c_limit = limit; c_suffix_beats; c_clean_finish; c_clean_free }
-end

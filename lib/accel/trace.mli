@@ -55,51 +55,3 @@ val events : t -> event array
     {!get}/{!iter}/{!length} on hot paths. *)
 
 val total_beats : t -> int
-
-(** Traces preprocessed for replay: events flattened into packed arrays and,
-    for every index where a solo stream's remaining schedule is invariant
-    under time translation, the whole suffix collapsed to three precomputed
-    deltas.  {!Replay.run_compiled} consumes these; the interpretive
-    {!Replay.run} stays as the differential oracle (the test suite pins
-    cycle-identity between the two). *)
-module Compiled : sig
-  type trace := t
-
-  val k_write : int
-  val k_stream_read : int
-  val k_dep_read : int
-
-  type t = {
-    c_gap : int array;
-    c_kind : int array;  (** {!k_write} / {!k_stream_read} / {!k_dep_read} *)
-    c_beats : int array;
-    c_latency : int array;
-    c_n : int;
-    c_bus : Bus.Params.t;
-    c_limit : int;
-    c_suffix_beats : int array;
-        (** total data beats of events [i..n-1]; length [n+1], last entry 0 *)
-    c_clean_finish : int array;
-        (** At a clean index [i] (see {!compile}), events [i..n-1] replayed
-            solo finish at [cand + c_clean_finish.(i)] and leave the fabric
-            busy until [cand + c_clean_free.(i)], where [cand] is event
-            [i]'s candidate cycle.  [-1] marks non-clean indices. *)
-    c_clean_free : int array;
-  }
-
-  val compile : bus:Bus.Params.t -> max_outstanding:int -> trace -> t
-  (** Preprocess a recorded trace for replay against a fabric with params
-      [bus] by an instance with the given streaming-read depth.  Runs one
-      reference solo schedule under the pure (fault-free, untraced) grant
-      formulas to find the "clean" indices where fast-forwarding is sound:
-      entering such an index, the fabric is free no later than the event's
-      candidate cycle and every outstanding streaming read has already
-      returned, so the suffix timing depends on the candidate cycle alone.
-      A compiled trace is only valid for the [bus]/[max_outstanding] it was
-      compiled against — {!Replay.run_compiled} asserts both. *)
-
-  val length : t -> int
-  val total_beats : t -> int
-  val bus : t -> Bus.Params.t
-  val limit : t -> int
-end

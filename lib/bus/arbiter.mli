@@ -67,30 +67,3 @@ val unregister : t -> src:int -> bool
     queued requests; a removed source re-registers transparently on its next
     {!request}.  If the removed source was the last winner, the next scan
     falls back to plain first-request order. *)
-
-type flat_client = {
-  fc_uniform : delta:int -> int;
-      (** Number of upcoming bursts (starting at the currently queued one)
-          the driver certifies to be shift-equivariant under a per-period
-          shift of [delta] cycles: identical burst parameters, and state
-          updates that are pure functions of previous grant cycles.  A
-          driver with an outstanding-read window must also verify the
-          window is entrained on period [delta] (warmed up, spaced exactly
-          [delta]) before certifying.  0 = no certificate right now. *)
-  fc_jump : n:int -> dt:int -> unit;
-      (** Absorb [n] further grants of the current uniform stretch, shifting
-          every time-valued state component (next-issue cycle, settle times,
-          outstanding completions) by [dt].  Only called with
-          [n <= fc_uniform ~delta - 2]. *)
-}
-(** Protocol a flat (direct-callback, coroutine-free) request driver offers
-    the steady-state leap.  When every active source is flat, the arbiter
-    may grant ahead of the event heap in a scalar loop, and — once the grant
-    schedule fingerprints as periodic — advance whole periods in O(1),
-    bumping {!Obs.Counters.periods_leaped}.  Leaping bails (single-steps)
-    whenever observability is attached, a fault plan is live, or any foreign
-    event sits in the scheduler. *)
-
-val set_flat : t -> src:int -> flat_client -> unit
-(** Declare [src] flat-driven.  Registers the source (at the rotation tail)
-    if it has not requested yet.  Cleared automatically by {!unregister}. *)

@@ -42,14 +42,6 @@ let request ?(src = -1) t ~at ~beats ~is_read ~extra_latency =
 let busy_until t = t.free_at
 let total_beats t = t.beats
 
-let quiescent t =
-  (not (Fault.Injector.active t.faults)) && not (Obs.Trace.enabled t.obs)
-
-let fast_forward t ~busy_until ~beats =
-  assert (beats >= 0);
-  t.free_at <- max t.free_at busy_until;
-  t.beats <- t.beats + beats
-
 let reset t =
   t.free_at <- 0;
   t.beats <- 0

@@ -1,17 +1,14 @@
 (* Process-global fast-path visibility counters.
 
-   The compiled-replay and proof-driven fast paths are, by construction,
-   invisible in every simulated number — these counters are the only place
-   the skips show up.  They are plain telemetry: nothing in the simulator
+   The script and proof-driven fast paths and the arbiter's coalesced
+   re-arms are, by construction, invisible in every simulated number — these
+   counters are the only place the skips show up.  They are plain telemetry: nothing in the simulator
    reads them back, so bumping them can never perturb a result.  Atomics,
    because bench sections bump them from pool worker domains. *)
 
 type t = { name : string; cell : int Atomic.t }
 
 let make name = { name; cell = Atomic.make 0 }
-
-let segments_replayed = make "segments_replayed"
-(* compiled trace segments fast-forwarded through the fabric in one jump *)
 
 let accesses_fast_pathed = make "accesses_fast_pathed"
 (* adjudications skipped because the task was statically proven in bounds
@@ -23,20 +20,17 @@ let traces_memoized = make "traces_memoized"
 let runs_memoized = make "runs_memoized"
 (* whole system runs served from the cross-sweep result cache *)
 
-let runs_disk_cached = make "runs_disk_cached"
-(* whole system runs served from the on-disk cross-process cache *)
-
 let periods_leaped = make "periods_leaped"
-(* steady-state arbitration periods advanced in O(1) by the event
-   fast-forward's recurrence detector instead of being single-stepped *)
+(* never bumped: the event fast-forward that leaped periods is gone; kept
+   until the benchmark driver stops reading it *)
 
 let events_coalesced = make "events_coalesced"
-(* arbitration events never enqueued because a live event at the same cycle
-   (or an in-progress leap) makes them provable no-ops *)
+(* arbitration events never enqueued because a live event at or before the
+   same cycle makes them provable no-ops *)
 
 let all =
-  [ segments_replayed; accesses_fast_pathed; traces_memoized; runs_memoized;
-    runs_disk_cached; periods_leaped; events_coalesced ]
+  [ accesses_fast_pathed; traces_memoized; runs_memoized; periods_leaped;
+    events_coalesced ]
 
 let name c = c.name
 let get c = Atomic.get c.cell

@@ -1,16 +1,13 @@
 (** Process-global fast-path visibility counters.
 
-    The compiled-replay and proof-driven fast paths are, by construction,
-    invisible in every simulated number; these counters are the only place
-    the skips show up (surfaced by [capsim bench] and the differential test
-    suite).  Pure telemetry — nothing in the simulator reads them back, so
-    bumping them can never perturb a result.  Safe to bump from pool worker
-    domains. *)
+    The script and proof-driven fast paths and the arbiter's coalesced
+    re-arms are, by construction, invisible in every simulated number; these
+    counters are the only place the skips show up (read by the test suite
+    and the perfbench driver).  Pure telemetry — nothing in the simulator
+    reads them back, so bumping them can never perturb a result.  Safe to
+    bump from pool worker domains. *)
 
 type t
-
-val segments_replayed : t
-(** Compiled trace segments fast-forwarded through the fabric in one jump. *)
 
 val accesses_fast_pathed : t
 (** Adjudications skipped because the task was statically proven in bounds
@@ -22,17 +19,14 @@ val traces_memoized : t
 val runs_memoized : t
 (** Whole system runs served from the cross-sweep result cache. *)
 
-val runs_disk_cached : t
-(** Whole system runs served from the on-disk cross-process cache. *)
-
 val periods_leaped : t
-(** Steady-state arbitration periods advanced in O(1) by the event
-    fast-forward's recurrence detector instead of being single-stepped.
-    Always 0 for faulted or observed runs (leaping bails on both). *)
+(** Always 0.  It counted the periods the removed event fast-forward leaped;
+    it stays declared, and is never bumped, until the benchmark driver
+    (perfbench) stops reading it. *)
 
 val events_coalesced : t
-(** Arbitration events never enqueued because a live event at the same cycle
-    (or an in-progress leap) makes them provable no-ops. *)
+(** Arbitration events never enqueued because a live event at or before the
+    same cycle makes them provable no-ops (see {!Bus.Arbiter}). *)
 
 val name : t -> string
 val get : t -> int

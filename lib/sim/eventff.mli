@@ -1,22 +1,13 @@
-(** Process-global mode for the event-engine steady-state fast-forward.
+(** Name kept for the benchmark driver (perfbench), which records the
+    event-engine fast-forward mode in every repetition.  The fast-forward
+    has been removed: the event core always single-steps, so the mode is the
+    constant [Off].  This module stays until the benchmark stops reading
+    it. *)
 
-    [On] (the default) lets {!Soc.Run}'s event compute phase drive scripted
-    constant-latency tasks through direct arbiter callbacks instead of
-    effect-based coroutines, and lets {!Bus.Arbiter} leap periodic steady
-    state; every reported cycle is identical to the [Off] leg by
-    construction, and the differential suite plus the [Diff] mode pin it.
+type mode = Off
 
-    [Off] forces the coroutine single-step path — the oracle.
-
-    [Diff] makes the run layer execute both legs against fresh systems and
-    [failwith] on any divergence in the complete result record. *)
-
-type mode = On | Off | Diff
-
-val set_mode : mode -> unit
 val current_mode : unit -> mode
+(** Always [Off]. *)
 
 val mode_to_string : mode -> string
-(** ["on"], ["off"], ["diff"] — the [--event-ff] CLI spellings. *)
-
-val mode_of_string : string -> mode option
+(** ["off"]. *)

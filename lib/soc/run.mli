@@ -77,6 +77,13 @@ type result = {
           without fault injection) *)
 }
 
+exception Allocation_failed of string
+(** Raised by a fault-free heterogeneous run whose tasks the driver cannot
+    all place up front — the checker table, region file or heap of the
+    configured system cannot hold that many concurrent tasks.  The payload
+    is the driver's reason.  Raised during the alloc phase, before any task
+    executes. *)
+
 val run :
   ?tasks:int ->
   ?instances:int ->
@@ -99,7 +106,8 @@ val run :
     concurrent timing is still modeled exactly, per-instance, through the
     shared interconnect; [Event_driven] instead executes every instance live
     on the shared event timeline.  Raises [Invalid_argument] if
-    [tasks <= 0].
+    [tasks <= 0] and {!Allocation_failed} if the system cannot hold
+    [tasks] concurrent tasks.
 
     [obs] (default {!Obs.Trace.null}) records an event trace of the run:
     bus grants, guard adjudications, table/MMIO traffic and [Task_phase]

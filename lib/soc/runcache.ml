@@ -1,75 +1,4 @@
-(* On-disk, cross-process run cache.
+(* Constant stand-in for the removed on-disk run cache; see the
+   interface. *)
 
-   The in-memory whole-run memo (see {!Run}) dies with the process, so
-   repeated sweeps — re-running a bench after an unrelated edit, CI jobs
-   sharing a workspace, capsim invocations in a shell loop — recompute
-   identical results from scratch.  When a cache directory is configured,
-   eligible results are additionally persisted there, one file per memo key.
-
-   Safety over speed: entries are keyed by the digest of the marshalled memo
-   key *and* a digest of the running binary, so any rebuild — which may
-   change timing, result layout or the meaning of a key field — orphans the
-   old entries rather than replaying them.  The stamp is repeated inside
-   each file and re-checked on load, files are written to a temp name and
-   renamed into place (concurrent sweep workers race benignly), and any
-   read or decode failure degrades to a miss. *)
-
-let dir_ref = Atomic.make None
-
-let set_dir d = Atomic.set dir_ref d
-let dir () = Atomic.get dir_ref
-
-(* Digest of the running executable: ties every entry to the exact binary
-   that produced it.  [Sys.executable_name] can be unreadable under exotic
-   launchers; then the cache silently disables rather than risking stale
-   hits. *)
-let binary_stamp =
-  lazy (try Some (Digest.file Sys.executable_name) with _ -> None)
-
-let entry_path ~dir ~stamp key =
-  let digest = Digest.string (stamp ^ Marshal.to_string key []) in
-  Filename.concat dir (Digest.to_hex digest ^ ".run")
-
-let with_cache f =
-  match dir () with
-  | None -> None
-  | Some dir -> (
-      match Lazy.force binary_stamp with
-      | None -> None
-      | Some stamp -> f ~dir ~stamp)
-
-let load (key : 'k) : 'v option =
-  with_cache (fun ~dir ~stamp ->
-      let path = entry_path ~dir ~stamp key in
-      try
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let stored_stamp : string = Marshal.from_channel ic in
-            if stored_stamp <> stamp then None
-            else begin
-              let v : 'v = Marshal.from_channel ic in
-              Obs.Counters.incr Obs.Counters.runs_disk_cached;
-              Some v
-            end)
-      with _ -> None)
-
-let store (key : 'k) (v : 'v) =
-  ignore
-    (with_cache (fun ~dir ~stamp ->
-         (try
-            (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            let path = entry_path ~dir ~stamp key in
-            let tmp =
-              Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
-            in
-            let oc = open_out_bin tmp in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () ->
-                Marshal.to_channel oc stamp [];
-                Marshal.to_channel oc v []);
-            Sys.rename tmp path
-          with _ -> ());
-         None))
+let dir () = None

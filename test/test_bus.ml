@@ -393,6 +393,17 @@ let test_topology_kind_strings () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* A contended event-engine run drops redundant arbitration re-arms, and the
+   counter records each one. *)
+let test_arbiter_coalescing_counter_moves () =
+  Soc.Fastpath.clear ();
+  Obs.Counters.reset ();
+  ignore
+    (Soc.Run.run ~tasks:8 ~engine:Soc.Run.Event_driven Soc.Config.ccpu_caccel
+       (Machsuite.Registry.find "kmp"));
+  checkb "contended run coalesces arbitration events" true
+    (Obs.Counters.get Obs.Counters.events_coalesced > 0)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_fifo_monotonic; prop_beats_conserved ]
 
@@ -414,6 +425,8 @@ let suite =
      test_arbiter_unregister_and_scan_order);
     ("arbiter: 65536-source churn stays linear", `Quick,
      test_arbiter_large_rotation_linear);
+    ("arbiter: coalescing counter moves", `Quick,
+     test_arbiter_coalescing_counter_moves);
     ("topology: shared matches fabric", `Quick,
      test_topology_shared_matches_fabric);
     ("topology: crossbar concurrent disjoint banks", `Quick,

@@ -1,113 +1,9 @@
-(* The compiled-replay and proof-driven fast paths: every shortcut must be
-   invisible.  Compiled replay is pinned cycle-identical to the interpretive
-   scheduler (including under fault injection, where the RNG draw order must
-   line up request for request), and the soc-level fast paths are pinned
-   result-identical with fast-pathing on vs off. *)
+(* The script and proof-driven fast paths: every shortcut must be
+   invisible.  The soc-level fast paths are pinned result-identical with
+   fast-pathing on vs off. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-
-let bus = Bus.Params.default
-
-(* ---------------- replay: compiled == interpretive ---------------- *)
-
-(* Random traces exercise burst/gap/dependence mixes the kernels never emit;
-   the compiled scheduler must match the interpretive one on all of them. *)
-
-let arb_event =
-  QCheck.Gen.(
-    let* gap = oneof [ return 0; int_bound 6; int_bound 60 ] in
-    let* beats = int_range 1 (bus.Bus.Params.max_burst + 2) in
-    let* k = int_bound 3 in
-    let kind, dependent =
-      match k with
-      | 0 | 1 -> (Guard.Iface.Read, false)  (* bias toward streaming reads *)
-      | 2 -> (Guard.Iface.Read, true)
-      | _ -> (Guard.Iface.Write, false)
-    in
-    let* latency = int_bound 3 in
-    return { Accel.Trace.gap; kind; beats; dependent; latency })
-
-let arb_trace =
-  QCheck.Gen.(
-    let* n = int_bound 80 in
-    let* evs = list_size (return n) arb_event in
-    let t = Accel.Trace.create () in
-    List.iter (Accel.Trace.add t) evs;
-    return t)
-
-let arb_streams =
-  QCheck.Gen.(
-    let* n_streams = int_range 1 4 in
-    list_size (return n_streams)
-      (let* trace = arb_trace in
-       let* max_outstanding = int_range 1 4 in
-       return { Accel.Replay.instance = 0; trace; max_outstanding }))
-  |> QCheck.Gen.map
-       (List.mapi (fun i s -> { s with Accel.Replay.instance = i }))
-
-let result_eq (a : Accel.Replay.result) (b : Accel.Replay.result) =
-  a.Accel.Replay.makespan = b.Accel.Replay.makespan
-  && a.Accel.Replay.per_instance = b.Accel.Replay.per_instance
-  && a.Accel.Replay.bus_beats = b.Accel.Replay.bus_beats
-  && a.Accel.Replay.bus_errors = b.Accel.Replay.bus_errors
-  && a.Accel.Replay.failed = b.Accel.Replay.failed
-
-let compiled_of streams =
-  List.map
-    (fun s ->
-      { Accel.Replay.cinstance = s.Accel.Replay.instance;
-        ctrace =
-          Accel.Trace.Compiled.compile ~bus
-            ~max_outstanding:s.Accel.Replay.max_outstanding
-            s.Accel.Replay.trace })
-    streams
-
-let replay_both ?faults ~start streams =
-  let fabric () =
-    match faults with
-    | None -> Bus.Fabric.create bus
-    | Some plan -> Bus.Fabric.create ~faults:(Fault.Injector.create plan) bus
-  in
-  let interp = Accel.Replay.run (fabric ()) ~start streams in
-  let compiled =
-    Accel.Replay.run_compiled (fabric ()) ~start (compiled_of streams)
-  in
-  (interp, compiled)
-
-let test_compiled_matches_interpretive () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:300 ~name:"compiled replay == interpretive"
-       (QCheck.make arb_streams) (fun streams ->
-         let interp, compiled = replay_both ~start:17 streams in
-         result_eq interp compiled))
-
-let test_compiled_matches_under_faults () =
-  (* With faults active the fabric is not quiescent: no jumps, but the two
-     schedulers must still issue identical request sequences and therefore
-     consume identical RNG draws. *)
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:150 ~name:"compiled replay == interpretive (faults)"
-       (QCheck.make (QCheck.Gen.pair arb_streams (QCheck.Gen.int_bound 1000)))
-       (fun (streams, seed) ->
-         let faults = Fault.Plan.default ~seed in
-         let interp, compiled = replay_both ~faults ~start:3 streams in
-         result_eq interp compiled))
-
-let test_solo_stream_jumps () =
-  (* A single stream on a fresh quiescent fabric replays in one jump from
-     index 0 — and still lands on the interpretive cycle counts. *)
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"solo compiled replay is one jump"
-       (QCheck.make arb_trace) (fun trace ->
-         let streams =
-           [ { Accel.Replay.instance = 0; trace; max_outstanding = 2 } ]
-         in
-         Obs.Counters.reset ();
-         let interp, compiled = replay_both ~start:5 streams in
-         result_eq interp compiled
-         && (Accel.Trace.length trace = 0
-            || Obs.Counters.get Obs.Counters.segments_replayed = 1)))
 
 (* ---------------- soc: fast == interpretive ---------------- *)
 
@@ -281,12 +177,6 @@ let test_soc_counters_move () =
 
 let suite =
   [
-    Alcotest.test_case "compiled == interpretive (random traces)" `Quick
-      test_compiled_matches_interpretive;
-    Alcotest.test_case "compiled == interpretive under faults" `Quick
-      test_compiled_matches_under_faults;
-    Alcotest.test_case "solo stream fast-forwards in one jump" `Quick
-      test_solo_stream_jumps;
     Alcotest.test_case "soc: fast == interpretive (legacy, all kernels)" `Quick
       test_soc_fast_matches_legacy;
     Alcotest.test_case "soc: fast == interpretive (cpu-only)" `Quick

@@ -30,5 +30,4 @@ let () =
       ("serve", Test_serve.suite);
       ("verify", Test_verify.suite);
       ("fastpath", Test_fastpath.suite);
-      ("eventff", Test_eventff.suite);
     ]
