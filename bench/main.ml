@@ -447,8 +447,7 @@ let ablation_table_size () =
         let fits =
           match Soc.Run.run ~tasks:8 ~cc_entries:entries Soc.Config.ccpu_caccel bench with
           | r -> if r.Soc.Run.correct then "yes" else "mis-executed"
-          | exception Failure msg ->
-              if String.length msg > 30 then "stalls (table full)" else msg
+          | exception Soc.Run.Allocation_failed _ -> "stalls (table full)"
         in
         [ string_of_int entries;
           string_of_int (Capchecker.Area.luts ~entries);

@@ -913,19 +913,6 @@ let serve_cmd =
   in
   let run config tenants requests seed instances entries topology checkers
       fastpath inflight watermark spill gap util churn top bench jobs json =
-    require_at_least "--tenants" ~min:1 tenants;
-    require_at_least "--requests" ~min:0 requests;
-    require_at_least "--instances" ~min:1 instances;
-    require_at_least "--cc-entries" ~min:1 entries;
-    require_at_least "--max-inflight" ~min:1 inflight;
-    require_between "--util" ~min:1 ~max:100 util;
-    require_between "--churn" ~min:0 ~max:100 churn;
-    (match config with
-    | Soc.Config.Hetero
-        { protection = Soc.Config.Prot_cc_fine | Soc.Config.Prot_cc_coarse; _ }
-      ->
-        ()
-    | _ -> reject "serve needs a CapChecker configuration (ccpu+caccel or coarse)");
     Soc.Fastpath.set_mode fastpath;
     let spill = if spill < 0 then 2 * instances else spill in
     let mix =
@@ -962,6 +949,9 @@ let serve_cmd =
         sv_check_invariants = false;
       }
     in
+    (match Serve.Loop.validate params with
+    | Ok () -> ()
+    | Error msg -> reject "serve: %s" msg);
     let report = Serve.Loop.run params in
     if json then print_endline (Serve.Report.to_string report)
     else print_string (Serve.Report.to_table ~top report)

@@ -45,7 +45,6 @@ type t = {
 let no_slot = -1
 
 let params t = t.p
-let busy_until t = t.free_at
 let total_beats t = t.beats
 let queued t = t.queued
 

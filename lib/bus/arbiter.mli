@@ -44,9 +44,6 @@ val request :
     ([granted_at + 1] for posted writes and streaming reads, [completed]
     for dependent reads). *)
 
-val busy_until : t -> int
-(** Cycle at which the data bus frees given grants so far. *)
-
 val total_beats : t -> int
 (** Beats transferred so far (bandwidth accounting for the power model). *)
 

@@ -39,7 +39,6 @@ let request ?(src = -1) t ~at ~beats ~is_read ~extra_latency =
   end;
   { granted_at; data_done; completed; errored }
 
-let busy_until t = t.free_at
 let total_beats t = t.beats
 
 let reset t =

@@ -38,9 +38,6 @@ val request :
     normally continue at [granted_at].  [src] (default -1) attributes the
     transaction to an interconnect source id for the event trace only. *)
 
-val busy_until : t -> int
-(** The cycle after which the bus is idle given all requests so far. *)
-
 val total_beats : t -> int
 (** Beats transferred so far (bandwidth accounting for the power model). *)
 

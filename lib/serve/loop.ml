@@ -120,22 +120,34 @@ type totals = {
   mutable c_departed : int;
 }
 
+let validate p =
+  let has_capchecker =
+    match p.sv_config with
+    | Soc.Config.Hetero
+        { protection = Soc.Config.Prot_cc_fine | Soc.Config.Prot_cc_coarse; _ }
+      ->
+        true
+    | _ -> false
+  in
+  if not has_capchecker then
+    Error
+      "needs a CapChecker configuration (ccpu+caccel or coarse)"
+  else if p.sv_instances < 1 then Error "instances must be at least 1"
+  else if p.sv_cc_entries < 1 then Error "cc_entries must be at least 1"
+  else if p.sv_policy.Admission.max_inflight < 1 then
+    Error "max_inflight must be at least 1"
+  else if p.sv_util_pct < 1 || p.sv_util_pct > 100 then
+    Error "util must be between 1 and 100 percent"
+  else
+    (* A non-positive gap is derived by [run] before generation. *)
+    let wl = p.sv_workload in
+    Workload.check { wl with Workload.mean_gap = max 1 wl.Workload.mean_gap }
+
 let run p =
+  (match validate p with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Loop.run: " ^ msg));
   let wl0 = p.sv_workload in
-  if p.sv_instances <= 0 then invalid_arg "Loop.run: instances must be >= 1";
-  if p.sv_util_pct < 1 || p.sv_util_pct > 100 then
-    invalid_arg "Loop.run: util_pct outside [1, 100]";
-  if p.sv_policy.Admission.max_inflight < 1 then
-    invalid_arg "Loop.run: max_inflight must be >= 1";
-  (match p.sv_config with
-  | Soc.Config.Hetero
-      { protection = Soc.Config.Prot_cc_fine | Soc.Config.Prot_cc_coarse; _ }
-    ->
-      ()
-  | _ ->
-      invalid_arg
-        "Loop.run: service mode needs a CapChecker configuration \
-         (ccpu+caccel or ccpu+caccel-coarse)");
   let bench_names = List.sort_uniq compare (List.map fst wl0.Workload.mix) in
   let benches =
     List.map (fun n -> (n, Machsuite.Registry.find n)) bench_names

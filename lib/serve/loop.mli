@@ -52,7 +52,13 @@ val default_params : ?seed:int -> tenants:int -> requests:int -> unit -> params
     checking, {!Admission.default}, the default workload mix with 10% churn,
     auto gap at 80% utilization, serial profiling, invariants off. *)
 
+val validate : params -> (unit, string) result
+(** [Error] with a one-line reason if the config has no CapChecker or a
+    parameter is out of range: fewer than one instance, table entry or
+    in-flight slot, [sv_util_pct] outside [1,100], or a workload that
+    {!Workload.check} rejects (a non-positive [mean_gap] is allowed: it asks
+    for the derived gap). *)
+
 val run : params -> Report.t
-(** @raise Invalid_argument if the config has no CapChecker or a parameter
-    is out of range; raises [Not_found] if the mix names an unknown
-    benchmark. *)
+(** @raise Invalid_argument when {!validate} fails; raises [Not_found] if
+    the mix names an unknown benchmark. *)

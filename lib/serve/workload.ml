@@ -24,21 +24,20 @@ let ev_rank = function
   | Request _ -> 1
   | Tenant_depart _ -> 2
 
-let validate p =
-  if p.tenants <= 0 then invalid_arg "Workload.generate: tenants must be >= 1";
-  if p.requests < 0 then invalid_arg "Workload.generate: requests must be >= 0";
-  if p.mean_gap < 1 then invalid_arg "Workload.generate: mean_gap must be >= 1";
-  if p.churn_pct < 0 || p.churn_pct > 100 then
-    invalid_arg "Workload.generate: churn_pct outside [0, 100]";
+let check p =
   let check_weights what = function
-    | [] -> invalid_arg (Printf.sprintf "Workload.generate: empty %s" what)
-    | ws ->
-        if List.exists (fun (_, w) -> w <= 0) ws then
-          invalid_arg
-            (Printf.sprintf "Workload.generate: non-positive weight in %s" what)
+    | [] -> Error (Printf.sprintf "empty %s" what)
+    | ws when List.exists (fun (_, w) -> w <= 0) ws ->
+        Error (Printf.sprintf "non-positive weight in %s" what)
+    | _ -> Ok ()
   in
-  check_weights "mix" p.mix;
-  check_weights "scales" p.scales
+  if p.tenants < 1 then Error "tenants must be at least 1"
+  else if p.requests < 0 then Error "requests must be at least 0"
+  else if p.mean_gap < 1 then Error "mean_gap must be at least 1"
+  else if p.churn_pct < 0 || p.churn_pct > 100 then
+    Error "churn must be between 0 and 100 percent"
+  else Result.bind (check_weights "mix" p.mix) (fun () ->
+           check_weights "scales" p.scales)
 
 let pick_weighted r items =
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 items in
@@ -55,7 +54,9 @@ let pick_weighted r items =
 let heavy_tenants p = max 1 (p.tenants / 8)
 
 let generate p =
-  validate p;
+  (match check p with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Workload.generate: " ^ msg));
   let rng = Ccsim.Rng.create p.seed in
   (* Split order is part of the schedule's definition — changing it changes
      every seed's workload, which the determinism tests would catch. *)

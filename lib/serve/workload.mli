@@ -49,10 +49,13 @@ val ev_rank : ev -> int
     departures (2), so a tenant arriving, requesting and departing on one
     cycle behaves sensibly. *)
 
+val check : params -> (unit, string) result
+(** [Error] naming the first out-of-range field: non-positive [tenants],
+    negative [requests], [mean_gap < 1], [churn_pct] outside [0,100], or an
+    empty / non-positively-weighted [mix] or [scales]. *)
+
 val generate : params -> timed list
 (** The full schedule sorted by [(at, ev_rank)], draw order breaking ties.
     A request may target a tenant that has not yet arrived or has already
     departed — admission rejects it ([Gone]), modelling traffic for an
-    unknown tenant.  @raise Invalid_argument on non-positive [tenants],
-    negative [requests], [mean_gap < 1], [churn_pct] outside [0,100], or an
-    empty / non-positively-weighted [mix] or [scales]. *)
+    unknown tenant.  @raise Invalid_argument when {!check} fails. *)

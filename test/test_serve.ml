@@ -112,6 +112,26 @@ let test_admission_decide () =
   checkb "departed tenant is Gone" true
     (decide ~live:0 = Error Serve.Admission.Gone)
 
+(* -- parameter validation ------------------------------------------- *)
+
+let test_validate () =
+  let ok p = Serve.Loop.validate p = Ok () in
+  let p = params () in
+  checkb "defaults valid" true (ok p);
+  checkb "derived gap allowed" true
+    (ok { p with Serve.Loop.sv_workload =
+                   { p.Serve.Loop.sv_workload with Serve.Workload.mean_gap = 0 } });
+  checkb "zero tenants" false (ok (params ~tenants:0 ()));
+  checkb "zero table entries" false (ok (params ~cc_entries:0 ()));
+  checkb "churn over 100" false (ok (params ~churn:101 ()));
+  checkb "no CapChecker" false
+    (ok { p with Serve.Loop.sv_config = Soc.Config.ccpu_accel });
+  checkb "run rejects what validate rejects" true
+    (try
+       ignore (Serve.Loop.run (params ~cc_entries:0 ()));
+       false
+     with Invalid_argument _ -> true)
+
 (* -- full-run invariants -------------------------------------------- *)
 
 (* The loop itself asserts isolation and occupancy invariants as it runs
@@ -289,4 +309,5 @@ let suite =
       test_table_stats_counters;
     Alcotest.test_case "checker: observe_table" `Quick
       test_observe_table_metrics;
+    Alcotest.test_case "run: parameter validation" `Quick test_validate;
   ]

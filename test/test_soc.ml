@@ -227,6 +227,16 @@ let test_parallel_fault_runs_deterministic () =
   checkb "same batch twice, different jobs, same results" true (a = b);
   List.iter (fun r -> checkb "faulted run correct" true r.Soc.Run.correct) a
 
+(* Eight md_grid tasks need 56 capabilities: a 32-entry table cannot place
+   them, and the run says so with [Allocation_failed] before any task runs
+   (the capability-table sizing ablation prints this as a stall). *)
+let test_table_full_raises_allocation_failed () =
+  let bench = Machsuite.Registry.find "md_grid" in
+  checkb "32 entries cannot hold 8x md_grid" true
+    (match Soc.Run.run ~tasks:8 ~cc_entries:32 Soc.Config.ccpu_caccel bench with
+    | _ -> false
+    | exception Soc.Run.Allocation_failed _ -> true)
+
 let suite =
   [
     ("config labels", `Quick, test_labels);
@@ -247,4 +257,6 @@ let suite =
     ("sweep_many equals direct runs", `Slow, test_sweep_many_matches_run);
     ("parallel fault batch deterministic", `Slow,
      test_parallel_fault_runs_deterministic);
+    ("table full raises Allocation_failed", `Quick,
+     test_table_full_raises_allocation_failed);
   ]
