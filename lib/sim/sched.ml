@@ -1,63 +1,18 @@
-type event = {
-  cycle : int;
-  rank : int;
-  seq : int;
-  fn : unit -> unit;
-  mutable next : event;  (* intra-bucket FIFO chain, [nil]-terminated *)
-}
-
-(* Physical sentinel: chain terminator and "no event" result.  Its fields are
-   never consulted except [next == nil] / [ev == nil] identity checks. *)
-let rec nil = { cycle = max_int; rank = 0; seq = max_int; fn = ignore; next = nil }
-
-(* ---- calendar wheel ----
-
-   The contended event core schedules almost exclusively a few cycles ahead
-   (bus grants, flow wakes, arbitration re-arms), so the heap's O(log n)
-   sift per event is pure overhead.  Near events (cycle within [wheel_size]
-   of the clock, rank below [wheel_ranks]) go into a cycle-indexed ring of
-   per-rank FIFO chains: O(1) push, O(1) pop.  Everything else — far-future
-   timeline events (serve workload arrivals), exotic ranks — falls back to
-   the binary heap, and the run loop merges the two by the same
-   (cycle, rank, seq) key the heap alone used to order by, so the execution
-   order is bit-for-bit identical to the heap-only scheduler.
-
-   Wheel invariant: every resident event has cycle in [clock, clock + W), so
-   a bucket can only hold one distinct cycle at a time and the scan cursor
-   (monotone, lazily synced to the clock) finds the next occupied bucket in
-   amortized O(cycles traversed). *)
-
-let wheel_bits = 12
-let wheel_size = 1 lsl wheel_bits
-let wheel_mask = wheel_size - 1
-let wheel_ranks = 4
+type event = { cycle : int; rank : int; seq : int; fn : unit -> unit }
 
 type t = {
   mutable heap : event array;  (* binary min-heap on (cycle, rank, seq) *)
-  mutable hsize : int;
-  heads : event array;  (* wheel chain heads, bucket * wheel_ranks + rank *)
-  tails : event array;
-  counts : int array;  (* live events per bucket *)
-  mutable wcount : int;  (* live events in the wheel *)
-  mutable cursor : int;  (* no wheel event lives at a cycle below this *)
+  mutable size : int;
   mutable seq : int;
   mutable clock : int;
   on_advance : int -> unit;
 }
 
+(* Fills vacated heap slots so a popped event's closure is not kept alive. *)
+let dummy = { cycle = max_int; rank = 0; seq = max_int; fn = ignore }
+
 let create ?(on_advance = ignore) () =
-  {
-    heap = Array.make 64 nil;
-    hsize = 0;
-    heads = Array.make (wheel_size * wheel_ranks) nil;
-    tails = Array.make (wheel_size * wheel_ranks) nil;
-    counts = Array.make wheel_size 0;
-    wcount = 0;
-    cursor = 0;
-    seq = 0;
-    clock = 0;
-    on_advance;
-  }
+  { heap = Array.make 64 dummy; size = 0; seq = 0; clock = 0; on_advance }
 
 let now t = t.clock
 
@@ -97,112 +52,41 @@ let rec sift_down h size i ev =
     sift_down h size smallest ev
   end
 
-let heap_push t ev =
-  if t.hsize = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.hsize) nil in
-    Array.blit t.heap 0 bigger 0 t.hsize;
+let at t ~cycle ?(rank = 0) fn =
+  if t.size = Array.length t.heap then begin
+    let bigger = Array.make (2 * t.size) dummy in
+    Array.blit t.heap 0 bigger 0 t.size;
     t.heap <- bigger
   end;
-  t.hsize <- t.hsize + 1;
-  sift_up t.heap (t.hsize - 1) ev
-
-let heap_pop t =
-  let top = t.heap.(0) in
-  t.hsize <- t.hsize - 1;
-  let last = t.heap.(t.hsize) in
-  t.heap.(t.hsize) <- nil;
-  if t.hsize > 0 then sift_down t.heap t.hsize 0 last;
-  top
-
-let at t ~cycle ?(rank = 0) fn =
-  let cycle = max cycle t.clock in
-  let ev = { cycle; rank; seq = t.seq; fn; next = nil } in
+  let ev = { cycle = max cycle t.clock; rank; seq = t.seq; fn } in
   t.seq <- t.seq + 1;
-  if rank < wheel_ranks && cycle - t.clock < wheel_size then begin
-    let i = ((cycle land wheel_mask) lsl 2) lor rank in
-    let tl = t.tails.(i) in
-    if tl == nil then t.heads.(i) <- ev else tl.next <- ev;
-    t.tails.(i) <- ev;
-    t.counts.(cycle land wheel_mask) <- t.counts.(cycle land wheel_mask) + 1;
-    t.wcount <- t.wcount + 1;
-    (* A heap pop can run callbacks at a clock below the scan cursor; an
-       insert behind the cursor must pull it back or the scan would skip
-       the bucket. *)
-    if cycle < t.cursor then t.cursor <- cycle
-  end
-  else heap_push t ev
+  t.size <- t.size + 1;
+  sift_up t.heap (t.size - 1) ev
 
-(* First event of the occupied bucket at [cycle], in (rank, seq) order: the
-   chains are rank-split and appended in seq order. *)
-let wheel_peek t cycle =
-  let base = (cycle land wheel_mask) lsl 2 in
-  let rec go r =
-    if r = wheel_ranks then nil
-    else
-      let h = t.heads.(base lor r) in
-      if h != nil then h else go (r + 1)
-  in
-  go 0
-
-let wheel_take t ev =
-  let i = ((ev.cycle land wheel_mask) lsl 2) lor ev.rank in
-  let n = ev.next in
-  t.heads.(i) <- n;
-  if n == nil then t.tails.(i) <- nil;
-  t.counts.(ev.cycle land wheel_mask) <- t.counts.(ev.cycle land wheel_mask) - 1;
-  t.wcount <- t.wcount - 1
-
-(* Globally next event, or [nil]: the earlier of the wheel's next occupied
-   bucket and the heap top under (cycle, rank, seq). *)
 let pop t =
-  let wev =
-    if t.wcount = 0 then nil
-    else begin
-      if t.cursor < t.clock then t.cursor <- t.clock;
-      let rec scan c =
-        if t.counts.(c land wheel_mask) > 0 then begin
-          t.cursor <- c;
-          wheel_peek t c
-        end
-        else scan (c + 1)
-      in
-      scan t.cursor
-    end
-  in
-  if t.hsize = 0 then begin
-    if wev != nil then wheel_take t wev;
-    wev
-  end
-  else if wev == nil then heap_pop t
-  else begin
-    let hev = t.heap.(0) in
-    if before wev hev then begin
-      wheel_take t wev;
-      wev
-    end
-    else heap_pop t
-  end
+  let top = t.heap.(0) in
+  t.size <- t.size - 1;
+  let last = t.heap.(t.size) in
+  t.heap.(t.size) <- dummy;
+  if t.size > 0 then sift_down t.heap t.size 0 last;
+  top
 
 let run_steps t n =
   let steps = ref 0 in
-  let continue = ref true in
-  while !continue && !steps < n do
+  while t.size > 0 && !steps < n do
     let ev = pop t in
-    if ev == nil then continue := false
-    else begin
-      if ev.cycle > t.clock then begin
-        t.clock <- ev.cycle;
-        t.on_advance t.clock
-      end;
-      ev.fn ();
-      incr steps
-    end
+    if ev.cycle > t.clock then begin
+      t.clock <- ev.cycle;
+      t.on_advance t.clock
+    end;
+    ev.fn ();
+    incr steps
   done;
   !steps
 
 let run t = ignore (run_steps t max_int)
 
-let pending t = t.wcount + t.hsize
+let pending t = t.size
 
 (* ---- processes ---- *)
 
