@@ -3,9 +3,8 @@ type t = {
   ic : Bus.Topology.t;
   src : int;
   home : int;  (* default target for events with no recorded address *)
-  limit : int;
   error_retry_limit : int;
-  outstanding : int Queue.t;  (* completion times of in-flight streaming reads *)
+  window : Window.t;  (* completion times of in-flight streaming reads *)
   mutable ready : int;
   mutable finish : int;
   mutable errors : int;
@@ -21,9 +20,8 @@ let create ?(error_retry_limit = 4) ~sched ~ic ~src ~start ~max_outstanding () =
   {
     sched; ic; src;
     home = Bus.Topology.home_target ic ~src;
-    limit = max 1 max_outstanding;
     error_retry_limit;
-    outstanding = Queue.create ();
+    window = Window.create ~max_outstanding;
     ready = start;
     finish = start;
     errors = 0;
@@ -47,13 +45,10 @@ let issue ?target t (ev : Trace.event) =
   Ccsim.Sched.suspend t.sched (fun resume ->
       let rec attempt () =
         let cand = t.ready + ev.Trace.gap in
-        (* A streaming read with a full outstanding queue must wait for the
+        (* A streaming read with a full outstanding window must wait for the
            oldest in-flight read to return. *)
         let cand =
-          if streaming && Queue.length t.outstanding >= t.limit then begin
-            let oldest = Queue.pop t.outstanding in
-            max cand oldest
-          end
+          if streaming && Window.is_full t.window then max cand (Window.pop t.window)
           else cand
         in
         Bus.Topology.request t.ic ~src:t.src ~target ~at:cand
@@ -86,7 +81,7 @@ let issue ?target t (ev : Trace.event) =
                   t.ready <- grant.Bus.Fabric.completed;
                   t.finish <- max t.finish grant.Bus.Fabric.completed
               | Guard.Iface.Read, false ->
-                  Queue.push grant.Bus.Fabric.completed t.outstanding;
+                  Window.push t.window grant.Bus.Fabric.completed;
                   t.ready <- grant.Bus.Fabric.granted_at + 1;
                   t.finish <- max t.finish grant.Bus.Fabric.completed);
               Ccsim.Sched.at t.sched ~cycle:t.ready resume

@@ -28,9 +28,13 @@ let events_coalesced = make "events_coalesced"
 (* arbitration events never enqueued because a live event at or before the
    same cycle makes them provable no-ops *)
 
+let replay_grants = make "replay_grants"
+(* bus grants issued by the trace replay (Accel.Replay.run), retries
+   included; added once per call *)
+
 let all =
   [ accesses_fast_pathed; traces_memoized; runs_memoized; periods_leaped;
-    events_coalesced ]
+    events_coalesced; replay_grants ]
 
 let name c = c.name
 let get c = Atomic.get c.cell

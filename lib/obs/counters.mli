@@ -28,6 +28,10 @@ val events_coalesced : t
 (** Arbitration events never enqueued because a live event at or before the
     same cycle makes them provable no-ops (see {!Bus.Arbiter}). *)
 
+val replay_grants : t
+(** Bus grants issued by the trace replay ([Accel.Replay.run]), errored
+    retries included.  Added once per replay call, not per grant. *)
+
 val name : t -> string
 val get : t -> int
 val add : t -> int -> unit
