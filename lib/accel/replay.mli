@@ -31,7 +31,12 @@ type stream = {
 
 val run : ?error_retry_limit:int -> Bus.Fabric.t -> start:int -> stream list -> result
 (** Replay every stream beginning at cycle [start].  Instances arbitrate in
-    earliest-ready order (FIFO).  An empty trace completes at [start].
+    earliest-ready order (FIFO): each grant goes to the instance whose next
+    transaction can issue at the earliest cycle, and equal candidate cycles
+    go to the stream listed first.  The instances sit in a binary heap on
+    that key, so picking a grant costs O(log N) for N streams and allocates
+    nothing beyond the fabric's grant record.  An empty trace completes at
+    [start].
 
     An errored grant (injected bus fault) is re-issued after a fixed
     turnaround; after [error_retry_limit] (default 4) consecutive errors on
