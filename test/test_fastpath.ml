@@ -175,6 +175,80 @@ let test_soc_counters_move () =
   checkb "whole run memoized" true
     (Obs.Counters.get Obs.Counters.runs_memoized > 0)
 
+(* A uniform run is a mixed run of N copies: with as many instances as
+   tasks, [run] and [run_mixed] on N copies of one bench agree on every
+   field but the label, on every accelerator preset, both engines, cold and
+   warm caches. *)
+let test_soc_run_is_mixed_of_copies () =
+  let n = 3 in
+  let check name (r : Soc.Run.result) (m : Soc.Run.result) =
+    Alcotest.(check string) (name ^ ": mixed label") "mixed" m.Soc.Run.benchmark;
+    checkb (name ^ ": run == run_mixed of copies") true
+      ({ m with Soc.Run.benchmark = r.Soc.Run.benchmark } = r)
+  in
+  List.iter
+    (fun bench ->
+      List.iter
+        (fun config ->
+          List.iter
+            (fun engine ->
+              let run () =
+                Soc.Run.run ~tasks:n ~instances:n ~engine config bench
+              in
+              let mixed () =
+                Soc.Run.run_mixed ~instances:n ~engine config
+                  (List.init n (fun _ -> bench))
+              in
+              let name =
+                Printf.sprintf "%s/%s/%s" bench.Machsuite.Bench_def.name
+                  (Soc.Config.label config)
+                  (match engine with
+                  | Soc.Run.Legacy_replay -> "replay"
+                  | Soc.Run.Event_driven -> "event")
+              in
+              with_mode Soc.Fastpath.Interpretive (fun () ->
+                  check (name ^ " interpretive") (run ()) (mixed ()));
+              with_mode Soc.Fastpath.Fast (fun () ->
+                  Soc.Fastpath.clear ();
+                  let r = run () in
+                  check (name ^ " fast, run first") r (mixed ());
+                  Soc.Fastpath.clear ();
+                  let m = mixed () in
+                  check (name ^ " fast, mixed first") (run ()) m))
+            [ Soc.Run.Legacy_replay; Soc.Run.Event_driven ])
+        [ Soc.Config.cpu_accel; Soc.Config.ccpu_accel; Soc.Config.ccpu_caccel;
+          Soc.Config.ccpu_caccel_coarse; Soc.Config.ccpu_caccel_cached ])
+    (List.map Machsuite.Registry.find
+       [ "aes"; "fft_transpose"; "spmv_crs"; "md_knn" ])
+
+(* The whole-run memo must keep a singleton mixed run apart from a one-task
+   uniform run: they differ in label, and by default in instance count and
+   area.  Each fast result must equal its own interpretive result. *)
+let test_soc_memo_keeps_run_and_mixed_apart () =
+  let bench = Machsuite.Registry.find "aes" in
+  let config = Soc.Config.ccpu_caccel in
+  let cases =
+    [ ("default instances",
+       (fun () -> Soc.Run.run_mixed config [ bench ]),
+       fun () -> Soc.Run.run ~tasks:1 config bench);
+      ("one instance",
+       (fun () -> Soc.Run.run_mixed ~instances:1 config [ bench ]),
+       fun () -> Soc.Run.run ~tasks:1 ~instances:1 config bench);
+      ("eight instances",
+       (fun () -> Soc.Run.run_mixed ~instances:8 config [ bench ]),
+       fun () -> Soc.Run.run ~tasks:1 ~instances:8 config bench) ]
+  in
+  List.iter
+    (fun (name, mixed, run) ->
+      let slow_m = with_mode Soc.Fastpath.Interpretive mixed in
+      let slow_r = with_mode Soc.Fastpath.Interpretive run in
+      Soc.Fastpath.clear ();
+      let fast_m = with_mode Soc.Fastpath.Fast mixed in
+      let fast_r = with_mode Soc.Fastpath.Fast run in
+      soc_result_eq (name ^ ": run_mixed [b]") fast_m slow_m;
+      soc_result_eq (name ^ ": run ~tasks:1 b") fast_r slow_r)
+    cases
+
 let suite =
   [
     Alcotest.test_case "soc: fast == interpretive (legacy, all kernels)" `Quick
@@ -191,4 +265,8 @@ let suite =
       test_soc_differential_mode;
     Alcotest.test_case "soc: speedup counters move" `Quick
       test_soc_counters_move;
+    Alcotest.test_case "soc: run == run_mixed of N copies" `Quick
+      test_soc_run_is_mixed_of_copies;
+    Alcotest.test_case "soc: memo keeps run and run_mixed apart" `Quick
+      test_soc_memo_keeps_run_and_mixed_apart;
   ]
