@@ -123,17 +123,17 @@ let adjudication_of ~elide_exec ~(guard : Guard.Iface.t) fp =
 (* sink is attached (events would be lost on a hit) and no fault plan   *)
 (* is active (fault draws consume a per-system RNG whose effect is not  *)
 (* part of the key, and faulted runs must never be elided anyway).      *)
-(* The entry points enforce both gates before consulting the table.     *)
+(* {!run_tasks} enforces both gates before consulting the table; the key *)
+(* is exactly what it is given, so [run] and [run_mixed] share entries  *)
+(* only where their results are equal.                                  *)
 (* ------------------------------------------------------------------ *)
 
 type run_memo_key = {
-  mk_mixed : bool;
-      (* [run] and [run_mixed] default [instances] differently and label
-         results differently, so a singleton mixed run is not a [run] *)
+  mk_benchmark : string;
+  mk_accel_luts : int;
   mk_config : Config.t;
-  mk_benches : Fastpath.bench_key list;  (* singleton for [run] *)
-  mk_tasks : int;
-  mk_instances : int option;
+  mk_benches : Fastpath.bench_key list;  (* one per task *)
+  mk_instances : int;
   mk_cc_entries : int;
   mk_bus : Bus.Params.t;
   mk_elide : elide_mode;
@@ -169,31 +169,47 @@ let emit_phase obs ~at ~task phase dur =
   if Obs.Trace.enabled obs then
     Obs.Trace.emit_at obs ~cycle:at (Obs.Event.Task_phase { task; phase; dur })
 
-(* Event-driven compute phase of a fault-free heterogeneous run: one live
-   engine process per task, all contending for the bus through a round-robin
-   arbiter on a shared discrete-event timeline.  The scheduler's clock is
-   mirrored into the observability sink so guard and bus events carry their
-   true cycles.  Unlike the legacy path — which interprets a kernel once and
-   replicates its recorded stream — every task executes functionally, so
-   every layout can be verified and a stateful checker sees the real
-   interleaving of checks across instances. *)
-type ev_task = {
-  et_bench : Machsuite.Bench_def.t;
-  et_alloc : Driver.allocated;
-  et_elide : bool;
-  et_fastpath : Accel.Engine.fastpath;
-  et_recorder : Accel.Script.Recorder.t option;
-      (** record this task's access script alongside live interpretation *)
-  et_script : (Accel.Script.t * Accel.Script.adjudication) option;
-      (** drive the event core from a cached script instead of interpreting *)
+(* What a fault-free heterogeneous run decides once per distinct bench (by
+   {!Fastpath.bench_key}): elision, fast path, adjudication, outstanding-read
+   window and the cached access script, if any. *)
+type plan = {
+  pl_key : Fastpath.bench_key;
+  pl_eligible : bool;
+  pl_elide_exec : bool;
+  pl_fp : Accel.Engine.fastpath;
+  pl_adj : Accel.Script.adjudication;
+  pl_max_outstanding : int;
+  pl_script : (Accel.Script.t * bool) option;
 }
 
-let interpreted_ev_task ?(elide = false) ?(fastpath = Accel.Engine.Fp_off)
-    ?recorder ?script bench alloc =
-  { et_bench = bench; et_alloc = alloc; et_elide = elide;
-    et_fastpath = fastpath; et_recorder = recorder; et_script = script }
+(* One allocated task.  Its bench's first task is the lead; under the fast
+   path the lead of an uncached bench records the bench's access script. *)
+type task = {
+  tk_bench : Machsuite.Bench_def.t;
+  tk_alloc : Driver.allocated;
+  tk_plan : plan;
+  tk_lead : bool;
+  tk_recorder : Accel.Script.Recorder.t option;
+}
 
-let run_event_compute sys ~start tasks_l =
+let store_recording tk ~total_ops ~complete ~correct =
+  match tk.tk_recorder with
+  | None -> ()
+  | Some r -> (
+      match Accel.Script.Recorder.finalize r ~total_ops ~complete with
+      | Some s -> Fastpath.store_script tk.tk_plan.pl_key s ~correct
+      | None -> ())
+
+(* Event-driven compute phase: one live engine process per task, all
+   contending for the bus through a round-robin arbiter on a shared
+   discrete-event timeline.  The scheduler's clock is mirrored into the
+   observability sink so guard and bus events carry their true cycles.
+   Unlike the legacy path — which derives each bench once and replicates its
+   recorded stream — every task executes, so every layout can be verified
+   and a stateful checker sees the real interleaving of checks across
+   instances.  Returns the per-task outcomes in task order, the makespan and
+   the bus beats. *)
+let run_event_compute sys ~start tasks =
   let obs = sys.System.obs in
   let backend = Option.get sys.System.backend in
   let sched =
@@ -208,14 +224,14 @@ let run_event_compute sys ~start tasks_l =
   (match sys.System.fleet with
   | Some f -> Capchecker.Shim.connect_clock f (fun () -> Ccsim.Sched.now sched)
   | None -> ());
-  let n = List.length tasks_l in
-  let results = Array.make (max n 1) None in
+  let results = Array.make (max (List.length tasks) 1) None in
   List.iteri
-    (fun idx et ->
-      let bench = et.et_bench in
-      let handle = et.et_alloc.Driver.handle in
-      match et.et_script with
-      | Some (script, adj) ->
+    (fun idx tk ->
+      let bench = tk.tk_bench in
+      let plan = tk.tk_plan in
+      let handle = tk.tk_alloc.Driver.handle in
+      match plan.pl_script with
+      | Some (script, _) ->
           (* Script-driven stream: mirrors the interpreted engine's scheduler
              calls exactly (the differential suite pins parity), skipping only
              the functional kernel work. *)
@@ -245,11 +261,11 @@ let run_event_compute sys ~start tasks_l =
             ~mem_size:(Tagmem.Mem.size sys.System.mem) ~max_outstanding
             ~layout:handle.Driver.layout ~obj_ids:handle.Driver.obj_ids
             ~addressing:(Driver.Backend.addressing backend)
-            ~source:handle.Driver.task_id adj ~on_done
+            ~source:handle.Driver.task_id plan.pl_adj ~on_done
       | None ->
-          Accel.Engine.run_event ~obs ~elide:et.et_elide ~fastpath:et.et_fastpath
-            ?recorder:et.et_recorder ~sched ~ic ~start ~mem:sys.System.mem
-            ~guard:(System.guard sys) ~bus:sys.System.bus
+          Accel.Engine.run_event ~obs ~elide:plan.pl_elide_exec
+            ~fastpath:plan.pl_fp ?recorder:tk.tk_recorder ~sched ~ic ~start
+            ~mem:sys.System.mem ~guard:(System.guard sys) ~bus:sys.System.bus
             ~directives:bench.Machsuite.Bench_def.directives
             ~addressing:(Driver.Backend.addressing backend)
             ~naive_tag_writes:(System.naive_tag_writes sys)
@@ -261,33 +277,64 @@ let run_event_compute sys ~start tasks_l =
               obj_ids = handle.Driver.obj_ids;
             }
             ~on_done:(fun o -> results.(idx) <- Some o))
-    tasks_l;
+    tasks;
   Ccsim.Sched.run sched;
   (match sys.System.fleet with
   | Some f -> Capchecker.Shim.disconnect_clock f
   | None -> ());
   let outcomes =
     List.mapi
-      (fun idx et ->
+      (fun idx tk ->
         match results.(idx) with
-        | Some o -> (et, o)
+        | Some o -> o
         | None ->
             failwith
               (Printf.sprintf "Run: event core deadlock: task %d never retired"
-                 et.et_alloc.Driver.handle.Driver.task_id))
-      tasks_l
+                 tk.tk_alloc.Driver.handle.Driver.task_id))
+      tasks
   in
   let makespan =
     List.fold_left
-      (fun acc (_, o) -> max acc o.Accel.Engine.ev_finish)
+      (fun acc (o : Accel.Engine.ev_outcome) ->
+        max acc o.Accel.Engine.ev_finish)
       start outcomes
   in
   (outcomes, makespan, Bus.Topology.total_beats ic)
 
+(* One CPU execution of [bench] against fresh buffers: allocate, initialize,
+   run, verify, free.  Returns the model's compute cycles and the verdict;
+   each caller charges the surrounding driver and init work itself. *)
+let cpu_execute sys (bench : Machsuite.Bench_def.t) =
+  let kernel = bench.Machsuite.Bench_def.kernel in
+  let bindings =
+    List.map
+      (fun (decl : Kernel.Ir.buf_decl) ->
+        let bytes = Kernel.Ir.buf_decl_bytes decl in
+        let align, padded = Cheri.Bounds_enc.malloc_shape ~length:bytes in
+        { Memops.Layout.decl;
+          base =
+            Tagmem.Alloc.malloc sys.System.heap ~align:(max align 16) padded })
+      kernel.bufs
+  in
+  let layout = Memops.Layout.make bindings in
+  init_layout sys.System.mem bench layout;
+  let res =
+    Cpu.Model.run ~obs:sys.System.obs sys.System.cpu_cfg sys.System.mem kernel
+      layout ~params:bench.params ()
+  in
+  (match res.Cpu.Model.trap with
+  | None -> ()
+  | Some reason -> failwith ("Run: CPU execution trapped: " ^ reason));
+  let correct = verify sys.System.mem bench layout in
+  List.iter
+    (fun b -> Tagmem.Alloc.free sys.System.heap b.Memops.Layout.base)
+    bindings;
+  (res.Cpu.Model.cycles, correct)
+
 (* CPU-only execution: tasks run back-to-back on the one core. *)
 let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
   let kernel = bench.Machsuite.Bench_def.kernel in
-  let cfg = Cpu.Model.config isa in
+  let cfg = sys.System.cpu_cfg in
   let n_bufs = List.length kernel.bufs in
   let obs = sys.System.obs in
   let fast = fast && not (Obs.Trace.enabled obs) in
@@ -303,31 +350,9 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
     match if fast then Fastpath.find_cpu ~isa bkey else None with
     | Some cached -> cached
     | None ->
-        let bindings =
-          List.map
-            (fun (decl : Kernel.Ir.buf_decl) ->
-              let bytes = Kernel.Ir.buf_decl_bytes decl in
-              let align, padded = Cheri.Bounds_enc.malloc_shape ~length:bytes in
-              { Memops.Layout.decl;
-                base =
-                  Tagmem.Alloc.malloc sys.System.heap ~align:(max align 16) padded })
-            kernel.bufs
-        in
-        let layout = Memops.Layout.make bindings in
-        init_layout sys.System.mem bench layout;
-        let res =
-          Cpu.Model.run ~obs cfg sys.System.mem kernel layout
-            ~params:bench.params ()
-        in
-        (match res.Cpu.Model.trap with
-        | None -> ()
-        | Some reason -> failwith ("benign CPU run trapped: " ^ reason));
-        let correct = verify sys.System.mem bench layout in
-        List.iter
-          (fun b -> Tagmem.Alloc.free sys.System.heap b.Memops.Layout.base)
-          bindings;
-        if fast then Fastpath.store_cpu ~isa bkey (res.Cpu.Model.cycles, correct);
-        (res.Cpu.Model.cycles, correct)
+        let r = cpu_execute sys bench in
+        if fast then Fastpath.store_cpu ~isa bkey r;
+        r
   in
   let per_task_compute = cycles + Cpu.Model.cap_setup_cycles cfg ~n_bufs in
   let phases =
@@ -349,247 +374,231 @@ let run_cpu_only sys ~fast isa (bench : Machsuite.Bench_def.t) ~tasks =
 
 exception Allocation_failed of string
 
-(* Heterogeneous execution.  [Legacy_replay] interprets the kernel once as
-   the accelerator, replicates its DMA stream per instance, and replays the
-   contention; [Event_driven] runs every instance live on the shared
-   event timeline (see {!run_event_compute}). *)
-let run_hetero sys ~fast (bench : Machsuite.Bench_def.t) ~tasks ~elide
-    ~engine =
-  let kernel = bench.Machsuite.Bench_def.kernel in
+(* A lead's DMA trace under [Legacy_replay]: derived from its bench's cached
+   script, or interpreted (recording the script when asked) and verified.
+   Returns (trace, denial, checks, elided checks, verdict). *)
+let legacy_lead sys ~guard tk =
+  let backend = Option.get sys.System.backend in
+  let bench = tk.tk_bench in
+  let plan = tk.tk_plan in
+  let handle = tk.tk_alloc.Driver.handle in
+  match plan.pl_script with
+  | Some (script, s_correct) ->
+      let d =
+        Accel.Script.to_trace script ~bus:sys.System.bus
+          ~mem_size:(Tagmem.Mem.size sys.System.mem)
+          ~layout:handle.Driver.layout ~obj_ids:handle.Driver.obj_ids
+          ~addressing:(Driver.Backend.addressing backend)
+          ~source:handle.Driver.task_id plan.pl_adj
+      in
+      Obs.Counters.incr Obs.Counters.traces_memoized;
+      if d.Accel.Script.d_fastpathed > 0 then
+        Obs.Counters.add Obs.Counters.accesses_fast_pathed
+          d.Accel.Script.d_fastpathed;
+      ( d.Accel.Script.d_trace, d.Accel.Script.d_denied,
+        d.Accel.Script.d_checks, d.Accel.Script.d_elided,
+        d.Accel.Script.d_denied = None && s_correct )
+  | None ->
+      let outcome =
+        Accel.Engine.run ~obs:sys.System.obs ~elide:plan.pl_elide_exec
+          ~fastpath:plan.pl_fp ?recorder:tk.tk_recorder ~mem:sys.System.mem
+          ~guard ~bus:sys.System.bus
+          ~directives:bench.Machsuite.Bench_def.directives
+          ~addressing:(Driver.Backend.addressing backend)
+          ~naive_tag_writes:(System.naive_tag_writes sys)
+          {
+            Accel.Engine.instance = handle.Driver.task_id;
+            kernel = bench.kernel;
+            layout = handle.Driver.layout;
+            params = bench.params;
+            obj_ids = handle.Driver.obj_ids;
+          }
+      in
+      let denied = outcome.Accel.Engine.denied in
+      let verified =
+        denied = None && verify sys.System.mem bench handle.Driver.layout
+      in
+      store_recording tk ~total_ops:outcome.Accel.Engine.ops
+        ~complete:(denied = None) ~correct:verified;
+      ( outcome.Accel.Engine.trace, denied, outcome.Accel.Engine.checks,
+        outcome.Accel.Engine.elided, verified )
+
+(* Fault-free heterogeneous execution: one task per element of [benches],
+   all placed up front on one system, then computed together and torn down.
+   [Legacy_replay] derives each bench's lead once (see {!legacy_lead}) and
+   replicates its stream to the bench's later tasks, which replay under
+   their own instance ids and carry the lead's checks, elided checks and
+   verdict but not its denial; [Event_driven] runs every task live (see
+   {!run_event_compute}). *)
+let run_pipeline sys ~fast ~benchmark ~area_luts ~elide ~engine benches =
   let driver = Option.get sys.System.driver in
   let backend = Option.get sys.System.backend in
-  let eligible = elide_eligible backend elide bench in
-  let elide_exec = (match elide with Elide_on -> eligible | _ -> false) in
-  let directives = bench.directives in
-  (* One synthesized design per (kernel, directives): a sweep re-running this
-     benchmark at other task counts or configs hits the memo cache instead of
-     re-elaborating the datapath schedule. *)
-  let design = Hls.Directives.synthesize ~kernel directives in
-  let cfg = sys.System.cpu_cfg in
-  let rec allocate acc n =
-    if n = 0 then List.rev acc
-    else
-      match Driver.allocate driver kernel with
-      | Ok a -> allocate (a :: acc) (n - 1)
-      | Error msg -> raise (Allocation_failed msg)
-  in
   let obs = sys.System.obs in
   (* Scripts and fast paths are gated off while a sink is attached: the
      derivations skip the interpreter whose side effects (guard events on the
      interpreter's clock, functional stores) the sink would have seen. *)
   let fast = fast && not (Obs.Trace.enabled obs) in
   let guard = System.guard sys in
-  let fp = fastpath_for ~fast ~elide_exec ~backend ~guard bench in
-  let bkey = Fastpath.bench_key bench in
-  let script_hit = if fast then Fastpath.find_script bkey else None in
+  let plans = Hashtbl.create 8 in
+  let plan_of (bench : Machsuite.Bench_def.t) =
+    let key = Fastpath.bench_key bench in
+    match Hashtbl.find_opt plans key with
+    | Some plan -> (plan, false)
+    | None ->
+        let eligible = elide_eligible backend elide bench in
+        let elide_exec = elide = Elide_on && eligible in
+        let fp = fastpath_for ~fast ~elide_exec ~backend ~guard bench in
+        let design =
+          Hls.Directives.synthesize ~kernel:bench.kernel bench.directives
+        in
+        let plan =
+          { pl_key = key; pl_eligible = eligible; pl_elide_exec = elide_exec;
+            pl_fp = fp; pl_adj = adjudication_of ~elide_exec ~guard fp;
+            pl_max_outstanding = design.Hls.Directives.d_max_outstanding;
+            pl_script = (if fast then Fastpath.find_script key else None) }
+        in
+        Hashtbl.add plans key plan;
+        (plan, true)
+  in
   let t0 = Obs.Trace.now obs in
-  let allocated = allocate [] tasks in
+  let tasks =
+    List.map
+      (fun (bench : Machsuite.Bench_def.t) ->
+        match Driver.allocate driver bench.kernel with
+        | Error msg -> raise (Allocation_failed msg)
+        | Ok a ->
+            let plan, lead = plan_of bench in
+            let recorder =
+              if fast && lead && plan.pl_script = None then
+                Some (Accel.Script.Recorder.create ())
+              else None
+            in
+            { tk_bench = bench; tk_alloc = a; tk_plan = plan; tk_lead = lead;
+              tk_recorder = recorder })
+      benches
+  in
   let alloc_cycles =
-    List.fold_left (fun acc (a : Driver.allocated) -> acc + a.cycles) 0 allocated
+    List.fold_left (fun acc tk -> acc + tk.tk_alloc.Driver.cycles) 0 tasks
   in
   (* Functional buffer initialization only feeds the interpreter and the
      verifier; a script hit replaces both (it carries the recording run's
      verdict), so the stores can be skipped wholesale. *)
-  if script_hit = None then
-    List.iter
-      (fun (a : Driver.allocated) ->
-        init_layout sys.System.mem bench a.handle.Driver.layout)
-      allocated;
-  let bytes = buffer_bytes kernel in
-  let init_cycles = tasks * Cpu.Model.init_store_cycles cfg ~bytes in
-  let first = (List.hd allocated).handle in
-  emit_phase obs ~at:t0 ~task:first.Driver.task_id "alloc" alloc_cycles;
-  emit_phase obs ~at:(t0 + alloc_cycles) ~task:first.Driver.task_id "init"
-    init_cycles;
-  Obs.Trace.set_now obs (t0 + alloc_cycles + init_cycles);
+  List.iter
+    (fun tk ->
+      if tk.tk_plan.pl_script = None then
+        init_layout sys.System.mem tk.tk_bench
+          tk.tk_alloc.Driver.handle.Driver.layout)
+    tasks;
+  let init_cycles =
+    List.fold_left
+      (fun acc tk ->
+        acc
+        + Cpu.Model.init_store_cycles sys.System.cpu_cfg
+            ~bytes:(buffer_bytes tk.tk_bench.kernel))
+      0 tasks
+  in
+  let lead_task = (List.hd tasks).tk_alloc.Driver.handle.Driver.task_id in
+  emit_phase obs ~at:t0 ~task:lead_task "alloc" alloc_cycles;
+  emit_phase obs ~at:(t0 + alloc_cycles) ~task:lead_task "init" init_cycles;
   (* Compute on the shared timeline starting at the compute phase, so bus
      events land at their true cycles even when the sink is shared across
      runs; the phase length is the makespan relative to that start. *)
-  let replay_start = t0 + alloc_cycles + init_cycles in
-  let per_task, compute_cycles, bus_beats, checks, elided_checks, entries_peak,
-      correct =
+  let start = t0 + alloc_cycles + init_cycles in
+  Obs.Trace.set_now obs start;
+  (* Per task: (denial, checks, elided checks, verdict). *)
+  let per_task, makespan, bus_beats =
     match engine with
     | Legacy_replay ->
-        (* (trace, denial, checks, elided, single-task verdict) of the lead
-           task — derived from the cached script when available, interpreted
-           (and recorded) otherwise. *)
-        let trace, denied, t_checks, t_elided, t_correct =
-          match script_hit with
-          | Some (script, s_correct) ->
-              let d =
-                Accel.Script.to_trace script ~bus:sys.System.bus
-                  ~mem_size:(Tagmem.Mem.size sys.System.mem)
-                  ~layout:first.Driver.layout ~obj_ids:first.Driver.obj_ids
-                  ~addressing:(Driver.Backend.addressing backend)
-                  ~source:first.Driver.task_id
-                  (adjudication_of ~elide_exec ~guard fp)
-              in
-              Obs.Counters.incr Obs.Counters.traces_memoized;
-              if d.Accel.Script.d_fastpathed > 0 then
-                Obs.Counters.add Obs.Counters.accesses_fast_pathed
-                  d.Accel.Script.d_fastpathed;
-              ( d.Accel.Script.d_trace, d.Accel.Script.d_denied,
-                d.Accel.Script.d_checks, d.Accel.Script.d_elided,
-                d.Accel.Script.d_denied = None && s_correct )
-          | None ->
-              let recorder =
-                if fast then Some (Accel.Script.Recorder.create ()) else None
-              in
-              let outcome =
-                Accel.Engine.run ~obs ~elide:elide_exec ~fastpath:fp ?recorder
-                  ~mem:sys.System.mem ~guard ~bus:sys.System.bus ~directives
-                  ~addressing:(Driver.Backend.addressing backend)
-                  ~naive_tag_writes:(System.naive_tag_writes sys)
-                  {
-                    Accel.Engine.instance = first.Driver.task_id;
-                    kernel;
-                    layout = first.Driver.layout;
-                    params = bench.params;
-                    obj_ids = first.Driver.obj_ids;
-                  }
-              in
-              let correct =
-                outcome.Accel.Engine.denied = None
-                && verify sys.System.mem bench first.Driver.layout
-              in
-              (match recorder with
-              | Some r -> (
-                  match
-                    Accel.Script.Recorder.finalize r
-                      ~total_ops:outcome.Accel.Engine.ops
-                      ~complete:(outcome.Accel.Engine.denied = None)
-                  with
-                  | Some s -> Fastpath.store_script bkey s ~correct
-                  | None -> ())
-              | None -> ());
-              ( outcome.Accel.Engine.trace, outcome.Accel.Engine.denied,
-                outcome.Accel.Engine.checks, outcome.Accel.Engine.elided,
-                correct )
-        in
-        differential_check elide ~eligible ~bench denied;
-        let entries_peak = guard.Guard.Iface.entries_in_use () in
-        let replayed =
-          Accel.Replay.run sys.System.fabric ~start:replay_start
-            (List.map
-               (fun (a : Driver.allocated) ->
-                 { Accel.Replay.instance = a.handle.Driver.task_id;
-                   trace;
-                   max_outstanding = design.Hls.Directives.d_max_outstanding })
-               allocated)
-        in
-        let per_task =
+        let leads = Hashtbl.create 8 in
+        let derived =
           List.map
-            (fun (a : Driver.allocated) ->
-              let denied =
-                if a.handle.Driver.task_id = first.Driver.task_id then denied
-                else None
-              in
-              (a, denied))
-            allocated
+            (fun tk ->
+              if tk.tk_lead then begin
+                let ((_, denied, _, _, _) as lead) =
+                  legacy_lead sys ~guard tk
+                in
+                differential_check elide ~eligible:tk.tk_plan.pl_eligible
+                  ~bench:tk.tk_bench denied;
+                Hashtbl.add leads tk.tk_plan.pl_key lead;
+                lead
+              end
+              else
+                let trace, _, checks, elided, verified =
+                  Hashtbl.find leads tk.tk_plan.pl_key
+                in
+                (trace, None, checks, elided, verified))
+            tasks
         in
-        ( per_task,
-          replayed.Accel.Replay.makespan - replay_start,
-          replayed.Accel.Replay.bus_beats,
-          t_checks * tasks,
-          t_elided * tasks,
-          entries_peak, t_correct )
+        let replayed =
+          Accel.Replay.run sys.System.fabric ~start
+            (List.map2
+               (fun tk (trace, _, _, _, _) ->
+                 { Accel.Replay.instance =
+                     tk.tk_alloc.Driver.handle.Driver.task_id;
+                   trace;
+                   max_outstanding = tk.tk_plan.pl_max_outstanding })
+               tasks derived)
+        in
+        ( List.map (fun (_, d, c, e, v) -> (d, c, e, v)) derived,
+          replayed.Accel.Replay.makespan,
+          replayed.Accel.Replay.bus_beats )
     | Event_driven ->
-        let adj = adjudication_of ~elide_exec ~guard fp in
-        let ev_tasks =
-          List.mapi
-            (fun idx a ->
-              match script_hit with
-              | Some (script, _) ->
-                  interpreted_ev_task ~elide:elide_exec ~script:(script, adj)
-                    bench a
-              | None ->
-                  let recorder =
-                    if fast && idx = 0 then
-                      Some (Accel.Script.Recorder.create ())
-                    else None
-                  in
-                  interpreted_ev_task ~elide:elide_exec ~fastpath:fp ?recorder
-                    bench a)
-            allocated
-        in
         let outcomes, makespan, bus_beats =
-          run_event_compute sys ~start:replay_start ev_tasks
+          run_event_compute sys ~start tasks
         in
-        List.iter
-          (fun (_, o) ->
-            differential_check elide ~eligible ~bench o.Accel.Engine.ev_denied)
-          outcomes;
-        let entries_peak = guard.Guard.Iface.entries_in_use () in
-        let correct =
-          match script_hit with
-          | Some (_, s_correct) ->
-              List.for_all
-                (fun (_, o) -> o.Accel.Engine.ev_denied = None)
-                outcomes
-              && s_correct
-          | None ->
-              List.for_all
-                (fun (et, o) ->
-                  o.Accel.Engine.ev_denied = None
-                  && verify sys.System.mem bench
-                       et.et_alloc.Driver.handle.Driver.layout)
-                outcomes
-        in
-        List.iter
-          (fun (et, (o : Accel.Engine.ev_outcome)) ->
-            match et.et_recorder with
-            | None -> ()
-            | Some r -> (
-                match
-                  Accel.Script.Recorder.finalize r ~total_ops:o.Accel.Engine.ev_ops
-                    ~complete:(o.Accel.Engine.ev_denied = None
-                               && not o.Accel.Engine.ev_failed)
-                with
-                | Some s ->
-                    let c =
-                      o.Accel.Engine.ev_denied = None
-                      && verify sys.System.mem bench
-                           et.et_alloc.Driver.handle.Driver.layout
-                    in
-                    Fastpath.store_script bkey s ~correct:c
-                | None -> ()))
-          outcomes;
-        let per_task =
-          List.map (fun (et, o) -> (et.et_alloc, o.Accel.Engine.ev_denied)) outcomes
-        in
-        ( per_task,
-          makespan - replay_start,
-          bus_beats,
-          List.fold_left (fun acc (_, o) -> acc + o.Accel.Engine.ev_checks) 0 outcomes,
-          List.fold_left (fun acc (_, o) -> acc + o.Accel.Engine.ev_elided) 0 outcomes,
-          entries_peak, correct )
+        ( List.map2
+            (fun tk (o : Accel.Engine.ev_outcome) ->
+              let denied = o.Accel.Engine.ev_denied in
+              differential_check elide ~eligible:tk.tk_plan.pl_eligible
+                ~bench:tk.tk_bench denied;
+              let verified =
+                denied = None
+                &&
+                match tk.tk_plan.pl_script with
+                | Some (_, s_correct) -> s_correct
+                | None ->
+                    verify sys.System.mem tk.tk_bench
+                      tk.tk_alloc.Driver.handle.Driver.layout
+              in
+              store_recording tk ~total_ops:o.Accel.Engine.ev_ops
+                ~complete:(denied = None && not o.Accel.Engine.ev_failed)
+                ~correct:verified;
+              (denied, o.Accel.Engine.ev_checks, o.Accel.Engine.ev_elided,
+               verified))
+            tasks outcomes,
+          makespan, bus_beats )
   in
-  emit_phase obs ~at:replay_start ~task:first.Driver.task_id "compute"
-    compute_cycles;
-  Obs.Trace.set_now obs (replay_start + compute_cycles);
+  let entries_peak = guard.Guard.Iface.entries_in_use () in
+  let compute_cycles = makespan - start in
+  emit_phase obs ~at:start ~task:lead_task "compute" compute_cycles;
+  Obs.Trace.set_now obs makespan;
+  (* The sink's clock never rewinds: interpretation under an attached sink
+     may already have carried it past the makespan. *)
   let teardown_start = Obs.Trace.now obs in
   let teardown_cycles, denial_lists =
-    List.fold_left
-      (fun (cycles, acc) ((a : Driver.allocated), denied) ->
-        let report = Driver.deallocate driver a.handle ~denied in
+    List.fold_left2
+      (fun (cycles, acc) tk (denied, _, _, _) ->
+        let report =
+          Driver.deallocate driver tk.tk_alloc.Driver.handle ~denied
+        in
         (cycles + report.Driver.cycles, report.Driver.denials :: acc))
-      (0, []) per_task
+      (0, []) tasks per_task
   in
-  let denials = List.concat (List.rev denial_lists) in
-  emit_phase obs ~at:teardown_start ~task:first.Driver.task_id "teardown"
+  emit_phase obs ~at:teardown_start ~task:lead_task "teardown"
     teardown_cycles;
   Obs.Trace.set_now obs (teardown_start + teardown_cycles);
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 per_task in
   let phases =
     { alloc = alloc_cycles; init = init_cycles;
       compute = compute_cycles; teardown = teardown_cycles }
   in
-  finish sys ~config_label:(Config.label sys.System.config) ~benchmark:kernel.name
-    ~tasks ~phases ~correct ~denials ~checks ~elided_checks
-    ~entries_peak ~bus_beats
-    ~area_luts:
-      (System.total_area_luts sys
-         ~accel_luts_per_instance:design.Hls.Directives.d_area_luts)
-    ()
+  finish sys ~config_label:(Config.label sys.System.config) ~benchmark
+    ~tasks:(List.length tasks) ~phases
+    ~correct:(List.for_all (fun (_, _, _, verified) -> verified) per_task)
+    ~denials:(List.concat (List.rev denial_lists))
+    ~checks:(sum (fun (_, checks, _, _) -> checks))
+    ~elided_checks:(sum (fun (_, _, elided, _) -> elided))
+    ~entries_peak ~bus_beats ~area_luts ()
 
 (* Fault-aware execution. *)
 
@@ -604,36 +613,18 @@ type placed_task =
   | P_accel of accel_task
   | P_degraded of Machsuite.Bench_def.t * string
 
-(* CPU fallback for one task of a degraded heterogeneous run: fresh buffers,
-   full recompute, verify, free.  Returns (cycles, correct). *)
+(* CPU fallback for one task of a degraded heterogeneous run: a full
+   recompute charged with its own buffer allocation, initialization,
+   capability setup and free.  Returns (cycles, correct). *)
 let cpu_fallback sys (bench : Machsuite.Bench_def.t) =
   let kernel = bench.Machsuite.Bench_def.kernel in
   let cfg = sys.System.cpu_cfg in
   let n_bufs = List.length kernel.bufs in
-  let bindings =
-    List.map
-      (fun (decl : Kernel.Ir.buf_decl) ->
-        let bytes = Kernel.Ir.buf_decl_bytes decl in
-        let align, padded = Cheri.Bounds_enc.malloc_shape ~length:bytes in
-        { Memops.Layout.decl;
-          base = Tagmem.Alloc.malloc sys.System.heap ~align:(max align 16) padded })
-      kernel.bufs
-  in
-  let layout = Memops.Layout.make bindings in
-  init_layout sys.System.mem bench layout;
-  let res =
-    Cpu.Model.run ~obs:sys.System.obs cfg sys.System.mem kernel layout
-      ~params:bench.params ()
-  in
-  (match res.Cpu.Model.trap with
-  | None -> ()
-  | Some reason -> failwith ("CPU fallback trapped: " ^ reason));
-  let correct = verify sys.System.mem bench layout in
-  List.iter (fun b -> Tagmem.Alloc.free sys.System.heap b.Memops.Layout.base) bindings;
+  let compute, correct = cpu_execute sys bench in
   let cycles =
     (n_bufs * Driver.malloc_cycles)
     + Cpu.Model.init_store_cycles cfg ~bytes:(buffer_bytes kernel)
-    + res.Cpu.Model.cycles
+    + compute
     + Cpu.Model.cap_setup_cycles cfg ~n_bufs
     + (n_bufs * Driver.free_cycles)
   in
@@ -815,13 +806,48 @@ let require_event_engine ~engine ~topology ~what =
            (Bus.Topology.kind_to_string kind))
   | _ -> ()
 
-(* Mode dispatch shared by [run] and [run_mixed]: [execute ~fast]
-   performs one complete run against a fresh system.  [Fast] wraps it in the
-   whole-run memo when eligible; [Differential] computes both legs (the fast
-   leg still warming and exercising every cache) and compares the complete
-   result records — any divergence is a bug in the fast-path layers, never a
-   tuning matter, so it [failwith]s. *)
-let dispatch ~memo_eligible ~key ~what execute =
+(* Everything [run] and [run_mixed] share once their defaults are resolved:
+   one task per element of [benches] on a fresh system of [instances]
+   accelerator slots, labelled [benchmark] and charged [accel_luts] of
+   datapath area.  [execute ~fast] performs the run against a fresh system;
+   the whole-run memo keys on exactly these inputs. *)
+let run_tasks ~what ~benchmark ~accel_luts ~instances ~cc_entries ~bus ?obs
+    ~faults ~retry ~elide ~engine ~topology ~checkers config benches =
+  let execute ~fast =
+    let sys =
+      System.create ~instances ~cc_entries ~bus ?obs ~faults ~topology
+        ~checkers config
+    in
+    match config with
+    | Config.Cpu_only isa ->
+        run_cpu_only sys ~fast isa (List.hd benches)
+          ~tasks:(List.length benches)
+    | Config.Hetero _ ->
+        let area_luts =
+          System.total_area_luts_exact sys ~accel_luts_total:accel_luts
+        in
+        if Fault.Plan.is_none faults then
+          run_pipeline sys ~fast ~benchmark ~area_luts ~elide ~engine benches
+        else
+          (* Faulted runs never consult a cache or skip an adjudication:
+             every retry, degrade and fault draw happens against the live
+             system. *)
+          run_hetero_faulted sys ~benchmark ~area_luts ~policy:retry ~engine
+            benches
+  in
+  let memo_eligible = obs = None && Fault.Plan.is_none faults in
+  let key =
+    { mk_benchmark = benchmark; mk_accel_luts = accel_luts; mk_config = config;
+      mk_benches = List.map Fastpath.bench_key benches;
+      mk_instances = instances; mk_cc_entries = cc_entries; mk_bus = bus;
+      mk_elide = elide; mk_engine = engine; mk_topology = topology;
+      mk_checkers = checkers }
+  in
+  (* [Fast] wraps [execute] in the whole-run memo when eligible;
+     [Differential] computes both legs (the fast leg still warming and
+     exercising every cache) and compares the complete result records — any
+     divergence is a bug in the fast-path layers, never a tuning matter, so
+     it [failwith]s. *)
   match Fastpath.current_mode () with
   | Fastpath.Interpretive -> execute ~fast:false
   | Fastpath.Fast ->
@@ -841,6 +867,10 @@ let dispatch ~memo_eligible ~key ~what execute =
       end
       else execute ~fast:false
 
+let design_luts (bench : Machsuite.Bench_def.t) =
+  (Hls.Directives.synthesize ~kernel:bench.kernel bench.directives)
+    .Hls.Directives.d_area_luts
+
 let run ?(tasks = 8) ?instances ?(cc_entries = 256) ?(bus = Bus.Params.default)
     ?obs ?(faults = Fault.Plan.none) ?(retry = Driver.default_retry_policy)
     ?(elide = Elide_off) ?(engine = Legacy_replay)
@@ -848,41 +878,19 @@ let run ?(tasks = 8) ?instances ?(cc_entries = 256) ?(bus = Bus.Params.default)
     config bench =
   if tasks <= 0 then invalid_arg "Run.run: needs at least one task";
   require_event_engine ~engine ~topology ~what:"Run.run";
-  let instances' = match instances with Some n -> max n tasks | None -> max 8 tasks in
-  let execute ~fast =
-    let sys =
-      System.create ~instances:instances' ~cc_entries ~bus ?obs ~faults
-        ~topology ~checkers config
-    in
+  let instances =
+    match instances with Some n -> max n tasks | None -> max 8 tasks
+  in
+  let accel_luts =
     match config with
-    | Config.Cpu_only isa -> run_cpu_only sys ~fast isa bench ~tasks
-    | Config.Hetero _ ->
-        if Fault.Plan.is_none faults then
-          run_hetero sys ~fast bench ~tasks ~elide ~engine
-        else
-          let design =
-            Hls.Directives.synthesize ~kernel:bench.Machsuite.Bench_def.kernel
-              bench.Machsuite.Bench_def.directives
-          in
-          (* Faulted runs never consult a cache or skip an adjudication: every
-             retry, degrade and fault draw happens against the live system. *)
-          run_hetero_faulted sys
-            ~benchmark:bench.Machsuite.Bench_def.kernel.Kernel.Ir.name
-            ~area_luts:
-              (System.total_area_luts sys
-                 ~accel_luts_per_instance:design.Hls.Directives.d_area_luts)
-            ~policy:retry ~engine
-            (List.init tasks (fun _ -> bench))
+    | Config.Cpu_only _ -> 0
+    | Config.Hetero _ -> instances * design_luts bench
   in
-  let memo_eligible = obs = None && Fault.Plan.is_none faults in
-  let key =
-    { mk_mixed = false; mk_config = config;
-      mk_benches = [ Fastpath.bench_key bench ];
-      mk_tasks = tasks; mk_instances = instances; mk_cc_entries = cc_entries;
-      mk_bus = bus; mk_elide = elide; mk_engine = engine;
-      mk_topology = topology; mk_checkers = checkers }
-  in
-  dispatch ~memo_eligible ~key ~what:"Run.run" execute
+  run_tasks ~what:"Run.run"
+    ~benchmark:bench.Machsuite.Bench_def.kernel.Kernel.Ir.name
+    ~accel_luts ~instances ~cc_entries ~bus ?obs ~faults ~retry ~elide ~engine
+    ~topology ~checkers config
+    (List.init tasks (fun _ -> bench))
 
 (* Per-kernel cost profile for the long-horizon service loop (lib/serve).
    One single-task, fault-free run measures the four phases a request of this
@@ -924,21 +932,6 @@ let service_profile ?(engine = Event_driven) ?(topology = Bus.Topology.Shared)
     sv_cpu_wall = cpu.wall;
   }
 
-(* Per-task plan of a fault-free mixed run: the cached script when one
-   exists, otherwise live interpretation — with a recorder attached to the
-   first task of each not-yet-cached bench (mixed compositions repeat
-   benches, so claims are deduplicated within the run). *)
-type mixed_plan = {
-  mp_bench : Machsuite.Bench_def.t;
-  mp_alloc : Driver.allocated;
-  mp_key : Fastpath.bench_key;
-  mp_eligible : bool;
-  mp_elide_exec : bool;
-  mp_fp : Accel.Engine.fastpath;
-  mp_script : (Accel.Script.t * bool) option;
-  mp_recorder : Accel.Script.Recorder.t option;
-}
-
 let run_mixed ?instances ?obs ?(faults = Fault.Plan.none)
     ?(retry = Driver.default_retry_policy) ?(elide = Elide_off)
     ?(engine = Legacy_replay) ?(topology = Bus.Topology.Shared)
@@ -946,275 +939,18 @@ let run_mixed ?instances ?obs ?(faults = Fault.Plan.none)
   let tasks = List.length benches in
   if tasks <= 0 then invalid_arg "Run.run_mixed: needs at least one task";
   require_event_engine ~engine ~topology ~what:"Run.run_mixed";
-  let instances' = match instances with Some n -> max n tasks | None -> tasks in
   (match config with
   | Config.Hetero _ -> ()
-  | Config.Cpu_only _ -> invalid_arg "Run.run_mixed: needs a heterogeneous config");
+  | Config.Cpu_only _ ->
+      invalid_arg "Run.run_mixed: needs a heterogeneous config");
   (* Exact datapath area: per-instance LUTs summed, never a truncating
      per-task mean — mixed benches with unequal area would under-report the
      silicon the power model is charged for. *)
-  let design_of (b : Machsuite.Bench_def.t) =
-    Hls.Directives.synthesize ~kernel:b.Machsuite.Bench_def.kernel b.directives
-  in
-  let execute ~fast =
-  let sys =
-    System.create ~instances:instances' ?obs ~faults ~topology ~checkers config
-  in
-  let area_luts =
-    System.total_area_luts_exact sys
-      ~accel_luts_total:
-        (List.fold_left
-           (fun acc (b : Machsuite.Bench_def.t) ->
-             acc + (design_of b).Hls.Directives.d_area_luts)
-           0 benches)
-  in
-  if not (Fault.Plan.is_none faults) then
-    run_hetero_faulted sys ~benchmark:"mixed" ~area_luts ~policy:retry ~engine
-      benches
-  else begin
-  let driver = Option.get sys.System.driver in
-  let backend = Option.get sys.System.backend in
-  let cfg = sys.System.cpu_cfg in
-  let obs = sys.System.obs in
-  let fast = fast && not (Obs.Trace.enabled obs) in
-  let guard = System.guard sys in
-  let allocated =
-    List.map
-      (fun (bench : Machsuite.Bench_def.t) ->
-        match Driver.allocate driver bench.kernel with
-        | Ok a -> (bench, a)
-        | Error msg -> raise (Allocation_failed (bench.name ^ ": " ^ msg)))
-      benches
-  in
-  let claimed : (Fastpath.bench_key, unit) Hashtbl.t = Hashtbl.create 8 in
-  let plans =
-    List.map
-      (fun ((bench : Machsuite.Bench_def.t), (a : Driver.allocated)) ->
-        let eligible = elide_eligible backend elide bench in
-        let elide_exec = match elide with Elide_on -> eligible | _ -> false in
-        let fp = fastpath_for ~fast ~elide_exec ~backend ~guard bench in
-        let key = Fastpath.bench_key bench in
-        let script = if fast then Fastpath.find_script key else None in
-        let recorder =
-          if fast && script = None && not (Hashtbl.mem claimed key) then begin
-            Hashtbl.add claimed key ();
-            Some (Accel.Script.Recorder.create ())
-          end
-          else None
-        in
-        { mp_bench = bench; mp_alloc = a; mp_key = key;
-          mp_eligible = eligible; mp_elide_exec = elide_exec; mp_fp = fp;
-          mp_script = script; mp_recorder = recorder })
-      allocated
-  in
-  let t0 = Obs.Trace.now obs in
-  let alloc_cycles =
-    List.fold_left (fun acc (_, (a : Driver.allocated)) -> acc + a.cycles) 0 allocated
-  in
-  List.iter
-    (fun p ->
-      if p.mp_script = None then
-        init_layout sys.System.mem p.mp_bench
-          p.mp_alloc.Driver.handle.Driver.layout)
-    plans;
-  let init_cycles =
-    List.fold_left
-      (fun acc ((bench : Machsuite.Bench_def.t), _) ->
-        acc + Cpu.Model.init_store_cycles cfg ~bytes:(buffer_bytes bench.kernel))
-      0 allocated
-  in
-  let lead_task = (snd (List.hd allocated)).Driver.handle.Driver.task_id in
-  emit_phase obs ~at:t0 ~task:lead_task "alloc" alloc_cycles;
-  emit_phase obs ~at:(t0 + alloc_cycles) ~task:lead_task "init" init_cycles;
-  Obs.Trace.set_now obs (t0 + alloc_cycles + init_cycles);
-  let replay_start = t0 + alloc_cycles + init_cycles in
-  (* Per task: (bench, allocation, denial, checks, elided, verified). *)
-  let per_task, compute_cycles, bus_beats, entries_peak =
-    match engine with
-    | Legacy_replay ->
-        let outcomes =
-          List.map
-            (fun p ->
-              let bench = p.mp_bench in
-              let a = p.mp_alloc in
-              let handle = a.Driver.handle in
-              let trace, denied, checks, elided, verified =
-                match p.mp_script with
-                | Some (script, s_correct) ->
-                    let d =
-                      Accel.Script.to_trace script ~bus:sys.System.bus
-                        ~mem_size:(Tagmem.Mem.size sys.System.mem)
-                        ~layout:handle.Driver.layout
-                        ~obj_ids:handle.Driver.obj_ids
-                        ~addressing:(Driver.Backend.addressing backend)
-                        ~source:handle.Driver.task_id
-                        (adjudication_of ~elide_exec:p.mp_elide_exec ~guard
-                           p.mp_fp)
-                    in
-                    Obs.Counters.incr Obs.Counters.traces_memoized;
-                    if d.Accel.Script.d_fastpathed > 0 then
-                      Obs.Counters.add Obs.Counters.accesses_fast_pathed
-                        d.Accel.Script.d_fastpathed;
-                    ( d.Accel.Script.d_trace, d.Accel.Script.d_denied,
-                      d.Accel.Script.d_checks, d.Accel.Script.d_elided,
-                      d.Accel.Script.d_denied = None && s_correct )
-                | None ->
-                    let outcome =
-                      Accel.Engine.run ~obs ~elide:p.mp_elide_exec
-                        ~fastpath:p.mp_fp ?recorder:p.mp_recorder
-                        ~mem:sys.System.mem ~guard ~bus:sys.System.bus
-                        ~directives:bench.Machsuite.Bench_def.directives
-                        ~addressing:(Driver.Backend.addressing backend)
-                        ~naive_tag_writes:(System.naive_tag_writes sys)
-                        {
-                          Accel.Engine.instance = handle.Driver.task_id;
-                          kernel = bench.kernel;
-                          layout = handle.Driver.layout;
-                          params = bench.params;
-                          obj_ids = handle.Driver.obj_ids;
-                        }
-                    in
-                    let verified =
-                      outcome.Accel.Engine.denied = None
-                      && verify sys.System.mem bench handle.Driver.layout
-                    in
-                    (match p.mp_recorder with
-                    | Some r -> (
-                        match
-                          Accel.Script.Recorder.finalize r
-                            ~total_ops:outcome.Accel.Engine.ops
-                            ~complete:(outcome.Accel.Engine.denied = None)
-                        with
-                        | Some s ->
-                            Fastpath.store_script p.mp_key s ~correct:verified
-                        | None -> ())
-                    | None -> ());
-                    ( outcome.Accel.Engine.trace, outcome.Accel.Engine.denied,
-                      outcome.Accel.Engine.checks, outcome.Accel.Engine.elided,
-                      verified )
-              in
-              differential_check elide ~eligible:p.mp_eligible ~bench denied;
-              (p, trace, denied, checks, elided, verified))
-            plans
-        in
-        let entries_peak = guard.Guard.Iface.entries_in_use () in
-        let replayed =
-          Accel.Replay.run sys.System.fabric ~start:replay_start
-            (List.map
-               (fun (p, trace, _, _, _, _) ->
-                 { Accel.Replay.instance =
-                     p.mp_alloc.Driver.handle.Driver.task_id;
-                   trace;
-                   max_outstanding =
-                     (design_of p.mp_bench).Hls.Directives.d_max_outstanding })
-               outcomes)
-        in
-        ( List.map
-            (fun (p, _, denied, checks, elided, verified) ->
-              (p.mp_bench, p.mp_alloc, denied, checks, elided, verified))
-            outcomes,
-          replayed.Accel.Replay.makespan - replay_start,
-          replayed.Accel.Replay.bus_beats,
-          entries_peak )
-    | Event_driven ->
-        let ev_tasks =
-          List.map
-            (fun p ->
-              let adj =
-                adjudication_of ~elide_exec:p.mp_elide_exec ~guard p.mp_fp
-              in
-              {
-                et_bench = p.mp_bench;
-                et_alloc = p.mp_alloc;
-                et_elide = p.mp_elide_exec;
-                et_fastpath = p.mp_fp;
-                et_recorder = p.mp_recorder;
-                et_script =
-                  Option.map (fun (s, _) -> (s, adj)) p.mp_script;
-              })
-            plans
-        in
-        let outcomes, makespan, bus_beats =
-          run_event_compute sys ~start:replay_start ev_tasks
-        in
-        let outcomes =
-          List.map2
-            (fun p (et, (o : Accel.Engine.ev_outcome)) ->
-              differential_check elide ~eligible:p.mp_eligible
-                ~bench:p.mp_bench o.Accel.Engine.ev_denied;
-              let verified =
-                match p.mp_script with
-                | Some (_, s_correct) ->
-                    o.Accel.Engine.ev_denied = None && s_correct
-                | None ->
-                    o.Accel.Engine.ev_denied = None
-                    && verify sys.System.mem p.mp_bench
-                         et.et_alloc.Driver.handle.Driver.layout
-              in
-              (match p.mp_recorder with
-              | Some r -> (
-                  match
-                    Accel.Script.Recorder.finalize r
-                      ~total_ops:o.Accel.Engine.ev_ops
-                      ~complete:(o.Accel.Engine.ev_denied = None
-                                 && not o.Accel.Engine.ev_failed)
-                  with
-                  | Some s -> Fastpath.store_script p.mp_key s ~correct:verified
-                  | None -> ())
-              | None -> ());
-              (p, o, verified))
-            plans outcomes
-        in
-        let entries_peak = guard.Guard.Iface.entries_in_use () in
-        ( List.map
-            (fun (p, (o : Accel.Engine.ev_outcome), verified) ->
-              (p.mp_bench, p.mp_alloc, o.Accel.Engine.ev_denied,
-               o.Accel.Engine.ev_checks, o.Accel.Engine.ev_elided, verified))
-            outcomes,
-          makespan - replay_start,
-          bus_beats,
-          entries_peak )
-  in
-  emit_phase obs ~at:replay_start ~task:lead_task "compute" compute_cycles;
-  Obs.Trace.set_now obs (replay_start + compute_cycles);
-  let correct =
-    List.for_all (fun (_, _, _, _, _, verified) -> verified) per_task
-  in
-  let teardown_start = Obs.Trace.now obs in
-  let teardown_cycles, denial_lists =
-    List.fold_left
-      (fun (cycles, acc) (_, (a : Driver.allocated), denied, _, _, _) ->
-        let report = Driver.deallocate driver a.handle ~denied in
-        (cycles + report.Driver.cycles, report.Driver.denials :: acc))
-      (0, []) per_task
-  in
-  let denials = List.concat (List.rev denial_lists) in
-  emit_phase obs ~at:teardown_start ~task:lead_task "teardown" teardown_cycles;
-  Obs.Trace.set_now obs (teardown_start + teardown_cycles);
-  let checks =
-    List.fold_left (fun acc (_, _, _, checks, _, _) -> acc + checks) 0 per_task
-  in
-  let elided_checks =
-    List.fold_left (fun acc (_, _, _, _, elided, _) -> acc + elided) 0 per_task
-  in
-  let phases =
-    { alloc = alloc_cycles; init = init_cycles;
-      compute = compute_cycles; teardown = teardown_cycles }
-  in
-  finish sys ~config_label:(Config.label config) ~benchmark:"mixed" ~tasks ~phases
-    ~correct ~denials ~checks ~elided_checks ~entries_peak
-    ~bus_beats ~area_luts ()
-  end
-  in
-  let memo_eligible = obs = None && Fault.Plan.is_none faults in
-  let key =
-    { mk_mixed = true; mk_config = config;
-      mk_benches = List.map Fastpath.bench_key benches;
-      mk_tasks = tasks; mk_instances = instances; mk_cc_entries = 256;
-      mk_bus = Bus.Params.default; mk_elide = elide; mk_engine = engine;
-      mk_topology = topology; mk_checkers = checkers }
-  in
-  dispatch ~memo_eligible ~key ~what:"Run.run_mixed" execute
+  run_tasks ~what:"Run.run_mixed" ~benchmark:"mixed"
+    ~accel_luts:(List.fold_left (fun acc b -> acc + design_luts b) 0 benches)
+    ~instances:(match instances with Some n -> max n tasks | None -> tasks)
+    ~cc_entries:256 ~bus:Bus.Params.default ?obs ~faults ~retry ~elide ~engine
+    ~topology ~checkers config benches
 
 (* ------------------------------------------------------------------ *)
 (* Batch entry points: many independent full-system runs on a domain    *)
@@ -1274,14 +1010,9 @@ let sweep_many ?(jobs = 1) ?(engine = Legacy_replay)
           columns)
       tasks_list
   in
-  let results = run_many ~jobs specs in
+  let results = Array.of_list (run_many ~jobs specs) in
   let ncols = List.length columns in
-  let rec regroup tasks_list results =
-    match tasks_list with
-    | [] -> []
-    | tasks :: rest ->
-        let row = List.filteri (fun idx _ -> idx < ncols) results in
-        let remainder = List.filteri (fun idx _ -> idx >= ncols) results in
-        (tasks, row) :: regroup rest remainder
-  in
-  regroup tasks_list results
+  List.mapi
+    (fun row tasks ->
+      (tasks, Array.to_list (Array.sub results (row * ncols) ncols)))
+    tasks_list

@@ -78,11 +78,11 @@ type result = {
 }
 
 exception Allocation_failed of string
-(** Raised by a fault-free heterogeneous run whose tasks the driver cannot
-    all place up front — the checker table, region file or heap of the
-    configured system cannot hold that many concurrent tasks.  The payload
-    is the driver's reason.  Raised during the alloc phase, before any task
-    executes. *)
+(** Raised by a fault-free heterogeneous {!run} or {!run_mixed} whose tasks
+    the driver cannot all place up front — the checker table, region file or
+    heap of the configured system cannot hold that many concurrent tasks.
+    The payload is the driver's reason.  Raised during the alloc phase,
+    before any task executes. *)
 
 val run :
   ?tasks:int ->
@@ -173,11 +173,24 @@ val run_mixed :
   Config.t ->
   Machsuite.Bench_def.t list ->
   result
-(** One task per (distinct) benchmark on one shared system — the
-    mixed-accelerator SoCs of Figure 9.  Requires a heterogeneous config and
-    at least one benchmark (raises [Invalid_argument] otherwise).
-    [faults]/[retry]/[engine] behave as in {!run}.  [area_luts] sums each
-    instance's datapath exactly (no per-task mean). *)
+(** One task per list element, in list order, on one shared system — the
+    mixed-accelerator SoCs of Figure 9.  A benchmark may repeat.  [instances]
+    defaults to the number of tasks.  Requires a heterogeneous config and at
+    least one benchmark (raises [Invalid_argument] otherwise) and raises
+    {!Allocation_failed} if the system cannot hold every task.
+    [faults]/[retry]/[elide]/[engine]/[topology]/[checkers] behave as in
+    {!run}.  [area_luts] sums each task's datapath exactly (no per-task
+    mean).
+
+    Under [Legacy_replay] the first task of each distinct benchmark is
+    interpreted (or derived from its cached access script) and verified
+    once.  Its DMA stream is replicated to that benchmark's later tasks,
+    which replay under their own instance ids and carry its checks, elided
+    checks and verdict; only the first task reports its denial.  This is the
+    rule {!run} applies to its identical tasks: [run ~tasks:n ~instances:n c
+    b] equals [run_mixed ~instances:n c] on [n] copies of [b] in every field
+    but [benchmark], which is ["mixed"] here.  Under [Event_driven] every
+    task runs live on the shared event timeline and is verified. *)
 
 (** {1 Batch execution on a domain pool}
 
